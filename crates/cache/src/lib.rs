@@ -206,12 +206,6 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// Look up `key` without touching recency or counters (telemetry
-    /// probes must not skew the hit rate they report).
-    pub fn peek(&self, key: &CacheKey) -> Option<&V> {
-        self.map.get(key).map(|&i| &self.slab[i as usize].value)
-    }
-
     /// Insert `value` under `key`, evicting the least-recently-used
     /// entry if the cache is full. Returns the evicted `(key, value)`
     /// when capacity pressure displaced one.
@@ -324,19 +318,6 @@ mod tests {
         }
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().evictions, 99);
-    }
-
-    #[test]
-    fn peek_does_not_skew_counters_or_recency() {
-        let mut c: LruCache<u32> = LruCache::new(2);
-        c.insert(k(1, 0), 1);
-        c.insert(k(2, 0), 2);
-        assert_eq!(c.peek(&k(1, 0)), Some(&1));
-        let before = c.stats();
-        assert_eq!((before.hits, before.misses), (0, 0));
-        // 1 stays LRU despite the peek: inserting evicts it.
-        c.insert(k(3, 0), 3);
-        assert_eq!(c.peek(&k(1, 0)), None);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! The pipeline is split at the two seams the serve cache needs:
 //!
-//! - [`check_file`] — read from disk, then [`check_source`];
-//! - [`check_source`] — lex/parse/resolve, then [`check_parsed`];
+//! - [`check_file`] — [`read_source`] from disk, then [`check_source`];
+//! - [`check_source`] — [`parse_source`] (lex/parse/resolve), then
+//!   [`check_parsed`];
 //! - [`check_parsed`] — translation-phase analysis and (when selected)
 //!   execution over an already-parsed translation unit. A warm cache
 //!   hit on the parsed artifact enters here directly, skipping the
@@ -17,7 +18,9 @@ use cundef_semantics::ast::TranslationUnit;
 use cundef_semantics::eval::{Engine, Interp, Limits, Outcome};
 use cundef_semantics::intern::kw;
 use cundef_semantics::{compile_unit, parser, ExecProfile};
-use cundef_ub::render::{FileResult, Verdict};
+use cundef_ub::render::{
+    FileResult, HumanRenderer, JsonRenderer, Renderer, SarifRenderer, Verdict,
+};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -32,18 +35,6 @@ pub enum Phase {
     All,
 }
 
-impl Phase {
-    /// Parse the `--phase` / request spelling.
-    pub fn parse(s: &str) -> Option<Phase> {
-        match s {
-            "translation" => Some(Phase::Translation),
-            "execution" => Some(Phase::Execution),
-            "all" => Some(Phase::All),
-            _ => None,
-        }
-    }
-}
-
 /// Output format behind `--format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
@@ -53,18 +44,6 @@ pub enum Format {
     Json,
     /// One SARIF 2.1.0 document per run.
     Sarif,
-}
-
-impl Format {
-    /// Parse the `--format` / request spelling.
-    pub fn parse(s: &str) -> Option<Format> {
-        match s {
-            "human" => Some(Format::Human),
-            "json" => Some(Format::Json),
-            "sarif" => Some(Format::Sarif),
-            _ => None,
-        }
-    }
 }
 
 /// The `--fail-on` severity threshold gating the exit code (the
@@ -88,16 +67,6 @@ pub enum FailOn {
 }
 
 impl FailOn {
-    /// Parse the `--fail-on` / request spelling.
-    pub fn parse(s: &str) -> Option<FailOn> {
-        match s {
-            "error" => Some(FailOn::Error),
-            "ub" => Some(FailOn::Ub),
-            "never" => Some(FailOn::Never),
-            _ => None,
-        }
-    }
-
     /// The exit code for a run that saw the given verdict mix, under
     /// this threshold. Shared by the one-shot CLI, `--batch`, and every
     /// `serve` response so the contract cannot drift between drivers.
@@ -150,6 +119,92 @@ impl CheckOptions {
             Engine::Bytecode => 1,
         };
         phase | (engine << 2) | ((self.profile as u64) << 3)
+    }
+}
+
+/// Everything that shapes one file's answer: the checking options plus
+/// how the result renders and which exit code it maps to.
+///
+/// The one-shot flags, `cundef serve`'s flags (the daemon's defaults)
+/// and each serve request's JSON fields all fill this in through
+/// [`Settings::set`], so every front end spells the settings the same.
+#[derive(Debug, Clone, Copy)]
+pub struct Settings {
+    /// Checking options.
+    pub opts: CheckOptions,
+    /// Output format.
+    pub format: Format,
+    /// Human-format quiet flag.
+    pub quiet: bool,
+    /// Exit-code threshold.
+    pub fail_on: FailOn,
+}
+
+impl Default for Settings {
+    fn default() -> Settings {
+        Settings {
+            opts: CheckOptions {
+                phase: Phase::All,
+                engine: Engine::default(),
+                profile: false,
+            },
+            format: Format::Human,
+            quiet: false,
+            fail_on: FailOn::Ub,
+        }
+    }
+}
+
+impl Settings {
+    /// Set the named setting (`phase`, `engine`, `format`, or
+    /// `fail-on`, which requests spell `fail_on`) from its spelling.
+    /// The error names the accepted spellings.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let unknown = |expected: &str| format!("`{name}` needs {expected}, not `{value}`");
+        match name {
+            "phase" => {
+                self.opts.phase = match value {
+                    "translation" => Phase::Translation,
+                    "execution" => Phase::Execution,
+                    "all" => Phase::All,
+                    _ => return Err(unknown("`translation`, `execution`, or `all`")),
+                }
+            }
+            "engine" => {
+                self.opts.engine = match value {
+                    "tree" => Engine::Tree,
+                    "bytecode" => Engine::Bytecode,
+                    _ => return Err(unknown("`tree` or `bytecode`")),
+                }
+            }
+            "format" => {
+                self.format = match value {
+                    "human" => Format::Human,
+                    "json" => Format::Json,
+                    "sarif" => Format::Sarif,
+                    _ => return Err(unknown("`human`, `json`, or `sarif`")),
+                }
+            }
+            "fail-on" | "fail_on" => {
+                self.fail_on = match value {
+                    "error" => FailOn::Error,
+                    "ub" => FailOn::Ub,
+                    "never" => FailOn::Never,
+                    _ => return Err(unknown("`error`, `ub`, or `never`")),
+                }
+            }
+            _ => return Err(format!("unknown setting `{name}`")),
+        }
+        Ok(())
+    }
+
+    /// A fresh renderer for this format (one per run or per request).
+    pub fn renderer(&self) -> Box<dyn Renderer> {
+        match self.format {
+            Format::Human => Box::new(HumanRenderer::new(self.quiet)),
+            Format::Json => Box::new(JsonRenderer::new()),
+            Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
+        }
     }
 }
 
@@ -274,19 +329,31 @@ impl Checked {
 /// Check one file from disk: read, then [`check_source`].
 pub fn check_file(path: &str, opts: &CheckOptions) -> Checked {
     let mut stats = PhaseStats::default();
-    let t = Instant::now();
-    let source = match std::fs::read_to_string(path) {
-        Err(e) => {
-            stats.read = t.elapsed();
-            return Checked::failed(path, stats, format!("cannot read file: {e}"));
-        }
-        Ok(source) => source,
-    };
-    stats.read = t.elapsed();
-    check_source(path, &source, stats, opts)
+    match read_source(path, &mut stats) {
+        Ok(source) => check_source(path, &source, stats, opts),
+        Err(e) => Checked::failed(path, stats, e),
+    }
 }
 
-/// Check already-loaded source text: lex/parse/resolve, then
+/// Read `path` from disk, timing the read into `stats`.
+pub fn read_source(path: &str, stats: &mut PhaseStats) -> Result<String, String> {
+    let t = Instant::now();
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read file: {e}"));
+    stats.read = t.elapsed();
+    source
+}
+
+/// The frontend: lex, parse and resolve `source`, timing each step
+/// into `stats`.
+pub fn parse_source(source: &str, stats: &mut PhaseStats) -> Result<TranslationUnit, String> {
+    let (unit, timing) = parser::parse_timed(source).map_err(|e| e.to_string())?;
+    stats.lex = timing.lex;
+    stats.parse = timing.parse;
+    stats.resolve = timing.resolve;
+    Ok(unit)
+}
+
+/// Check already-loaded source text: [`parse_source`], then
 /// [`check_parsed`]. `path` is the label used in every diagnostic.
 pub fn check_source(
     path: &str,
@@ -294,18 +361,10 @@ pub fn check_source(
     mut stats: PhaseStats,
     opts: &CheckOptions,
 ) -> Checked {
-    let unit = match parser::parse_timed(source) {
-        Err(parse_err) => {
-            return Checked::failed(path, stats, parse_err.to_string());
-        }
-        Ok((unit, timing)) => {
-            stats.lex = timing.lex;
-            stats.parse = timing.parse;
-            stats.resolve = timing.resolve;
-            unit
-        }
-    };
-    check_parsed(path, &unit, stats, opts)
+    match parse_source(source, &mut stats) {
+        Ok(unit) => check_parsed(path, &unit, stats, opts),
+        Err(e) => Checked::failed(path, stats, e),
+    }
 }
 
 /// Check an already-parsed translation unit: translation-phase

@@ -20,12 +20,12 @@
 //! Checking and rendering are split: each file reduces to a
 //! [`FileResult`](cundef_ub::render::FileResult) (the structured
 //! verdict + findings + notes), and a pluggable
-//! [`Renderer`] — selected by `--format human|json|sarif` —
-//! turns results into bytes. `--stats[=json]` reports per-phase wall
-//! times and `--profile` the engines' execution telemetry, both on
-//! stderr so every stdout format stays clean. `--fail-on error|ub|never`
-//! moves the exit-code threshold for CI gating without changing any
-//! report.
+//! [`Renderer`](cundef_ub::render::Renderer) — selected by
+//! `--format human|json|sarif` — turns results into bytes.
+//! `--stats[=json]` reports per-phase wall times and `--profile` the
+//! engines' execution telemetry, both on stderr so every stdout format
+//! stays clean. `--fail-on error|ub|never` moves the exit-code threshold
+//! for CI gating without changing any report.
 //!
 //! With `--batch`, many files are checked in parallel across a worker
 //! pool (see [`pool`]); duplicate paths are checked once and replayed.
@@ -36,12 +36,10 @@ mod check;
 mod pool;
 mod serve;
 
-use check::{check_file, render_profile, CheckOptions, Checked, FailOn, Format, Phase, PhaseStats};
-use cundef_semantics::eval::Engine;
-use cundef_ub::render::{HumanRenderer, JsonRenderer, Rendered, Renderer, SarifRenderer, Verdict};
+use check::{check_file, render_profile, Checked, PhaseStats, Settings};
+use cundef_ub::render::{Rendered, Verdict};
 use cundef_ub::{catalog, catalog_counts, Detectability};
 use pool::check_batch;
-use serve::parse_engine;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -140,7 +138,12 @@ REQUEST (one JSON object per stdin line, or POST /check body):
 
 HTTP (with --listen): POST /check (request object as body; rendered
     report as response body, verdict/exit/cache in X-Cundef-* headers),
-    GET /stats, GET /health, POST /shutdown.
+    GET /stats, GET /health, POST /shutdown. Bodies are capped at 64 MiB:
+    a larger Content-Length gets 413 and the connection closes.
+
+SHUTDOWN: {\"cmd\": \"shutdown\"} or EOF on stdin (after every queued
+    reply has printed), or POST /shutdown; either ends the daemon in
+    every mode.
 
 OPTIONS:
     --listen ADDR      Serve HTTP on ADDR (e.g. 127.0.0.1:8123; port 0
@@ -211,15 +214,10 @@ fn main() -> ExitCode {
     }
     drop(raw);
     let mut files = Vec::new();
-    let mut quiet = false;
+    let mut settings = Settings::default();
     let mut batch = false;
     let mut jobs: Option<usize> = None;
-    let mut phase = Phase::All;
-    let mut engine = Engine::default();
-    let mut format = Format::Human;
-    let mut fail_on = FailOn::Ub;
     let mut stats = StatsMode::Off;
-    let mut profile = false;
     let mut no_more_options = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -229,39 +227,15 @@ fn main() -> ExitCode {
         }
         match arg.as_str() {
             "--" => no_more_options = true,
-            "--phase" => match args.next().as_deref().and_then(Phase::parse) {
-                Some(p) => phase = p,
-                None => {
-                    complain!(
-                        "error: `--phase` needs `translation`, `execution`, or `all`\n\n{USAGE}"
-                    );
-                    return ExitCode::from(2);
+            flag @ ("--phase" | "--engine" | "--format" | "--fail-on") => {
+                let value = args.next().unwrap_or_default();
+                if let Err(e) = settings.set(&flag[2..], &value) {
+                    return usage_error(&e, USAGE);
                 }
-            },
-            "--engine" => match args.next().as_deref().and_then(parse_engine) {
-                Some(e) => engine = e,
-                None => {
-                    complain!("error: `--engine` needs `tree` or `bytecode`\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref().and_then(Format::parse) {
-                Some(f) => format = f,
-                None => {
-                    complain!("error: `--format` needs `human`, `json`, or `sarif`\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-on" => match args.next().as_deref().and_then(FailOn::parse) {
-                Some(f) => fail_on = f,
-                None => {
-                    complain!("error: `--fail-on` needs `error`, `ub`, or `never`\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
+            }
             "--stats" => stats = StatsMode::Human,
             "--stats=json" => stats = StatsMode::Json,
-            "--profile" => profile = true,
+            "--profile" => settings.opts.profile = true,
             "-h" | "--help" => {
                 say!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -274,41 +248,27 @@ fn main() -> ExitCode {
                 print_catalog_summary();
                 return ExitCode::SUCCESS;
             }
-            "-q" | "--quiet" => quiet = true,
+            "-q" | "--quiet" => settings.quiet = true,
             "--batch" => batch = true,
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = Some(n),
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
+            "--jobs" => match positive(args.next()) {
+                Some(n) => jobs = Some(n),
+                None => return usage_error("`--jobs` needs a positive integer", USAGE),
             },
             other if other.starts_with('-') => {
-                complain!("error: unknown option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
+                return usage_error(&format!("unknown option `{other}`"), USAGE);
             }
             file => files.push(file.to_string()),
         }
     }
     if files.is_empty() {
-        complain!("error: no input files\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("no input files", USAGE);
     }
     if jobs.is_some() && !batch {
-        complain!("error: `--jobs` only applies to `--batch` runs\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("`--jobs` only applies to `--batch` runs", USAGE);
     }
 
-    let opts = CheckOptions {
-        phase,
-        engine,
-        profile,
-    };
-    let mut renderer: Box<dyn Renderer> = match format {
-        Format::Human => Box::new(HumanRenderer::new(quiet)),
-        Format::Json => Box::new(JsonRenderer::new()),
-        Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
-    };
+    let opts = settings.opts;
+    let mut renderer = settings.renderer();
     let mut any_undefined = false;
     let mut any_engine_failure = false;
     let mut agg = PhaseStats::default();
@@ -366,26 +326,33 @@ fn main() -> ExitCode {
             StatsMode::Off => unreachable!(),
         }
     }
-    ExitCode::from(fail_on.exit_code(any_undefined, any_engine_failure))
+    ExitCode::from(
+        settings
+            .fail_on
+            .exit_code(any_undefined, any_engine_failure),
+    )
+}
+
+/// Print a usage error followed by `usage` on stderr; exit status 2.
+fn usage_error(message: &str, usage: &str) -> ExitCode {
+    complain!("error: {message}\n\n{usage}");
+    ExitCode::from(2)
+}
+
+/// A flag's value as a positive integer.
+fn positive(value: Option<String>) -> Option<usize> {
+    value?.parse().ok().filter(|&n| n > 0)
 }
 
 /// The `cundef serve` subcommand: parse flags and run the daemon.
 fn serve_main(args: Vec<String>) -> ExitCode {
     let mut cfg = serve::ServeConfig {
-        opts: CheckOptions {
-            phase: Phase::All,
-            engine: Engine::default(),
-            profile: false,
-        },
-        format: Format::Human,
-        quiet: false,
-        fail_on: FailOn::Ub,
+        settings: Settings::default(),
         jobs: 0,
         cache_capacity: serve::DEFAULT_CACHE_CAPACITY,
         listen: None,
         stdin: false,
     };
-    let mut stdin_explicit = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -395,70 +362,30 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             }
             "--listen" => match it.next() {
                 Some(addr) => cfg.listen = Some(addr),
+                None => return usage_error("`--listen` needs an address", SERVE_USAGE),
+            },
+            "--stdin" => cfg.stdin = true,
+            "--jobs" => match positive(it.next()) {
+                Some(n) => cfg.jobs = n,
+                None => return usage_error("`--jobs` needs a positive integer", SERVE_USAGE),
+            },
+            "--cache-capacity" => match positive(it.next()) {
+                Some(n) => cfg.cache_capacity = n,
                 None => {
-                    complain!("error: `--listen` needs an address\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
+                    return usage_error("`--cache-capacity` needs a positive integer", SERVE_USAGE)
                 }
             },
-            "--stdin" => stdin_explicit = true,
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.jobs = n,
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
+            flag @ ("--phase" | "--engine" | "--format" | "--fail-on") => {
+                let value = it.next().unwrap_or_default();
+                if let Err(e) = cfg.settings.set(&flag[2..], &value) {
+                    return usage_error(&e, SERVE_USAGE);
                 }
-            },
-            "--cache-capacity" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.cache_capacity = n,
-                _ => {
-                    complain!(
-                        "error: `--cache-capacity` needs a positive integer\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--phase" => match it.next().as_deref().and_then(Phase::parse) {
-                Some(p) => cfg.opts.phase = p,
-                None => {
-                    complain!(
-                        "error: `--phase` needs `translation`, `execution`, or `all`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--engine" => match it.next().as_deref().and_then(parse_engine) {
-                Some(e) => cfg.opts.engine = e,
-                None => {
-                    complain!("error: `--engine` needs `tree` or `bytecode`\n\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match it.next().as_deref().and_then(Format::parse) {
-                Some(f) => cfg.format = f,
-                None => {
-                    complain!(
-                        "error: `--format` needs `human`, `json`, or `sarif`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--fail-on" => match it.next().as_deref().and_then(FailOn::parse) {
-                Some(f) => cfg.fail_on = f,
-                None => {
-                    complain!(
-                        "error: `--fail-on` needs `error`, `ub`, or `never`\n\n{SERVE_USAGE}"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "-q" | "--quiet" => cfg.quiet = true,
-            other => {
-                complain!("error: unknown serve option `{other}`\n\n{SERVE_USAGE}");
-                return ExitCode::from(2);
             }
+            "-q" | "--quiet" => cfg.settings.quiet = true,
+            other => return usage_error(&format!("unknown serve option `{other}`"), SERVE_USAGE),
         }
     }
-    cfg.stdin = stdin_explicit || cfg.listen.is_none();
+    cfg.stdin |= cfg.listen.is_none();
     ExitCode::from(serve::run_serve(cfg))
 }
 
@@ -477,17 +404,11 @@ fn fuzz_main(args: Vec<String>) -> ExitCode {
             }
             "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => cfg.seed = n,
-                None => {
-                    complain!("error: `--seed` needs an integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("`--seed` needs an integer", FUZZ_USAGE),
             },
-            "--count" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => cfg.count = n,
-                _ => {
-                    complain!("error: `--count` needs a positive integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
+            "--count" => match positive(it.next()) {
+                Some(n) => cfg.count = n as u64,
+                None => return usage_error("`--count` needs a positive integer", FUZZ_USAGE),
             },
             "--shard" => {
                 let parsed = it.next().and_then(|v| {
@@ -496,33 +417,21 @@ fn fuzz_main(args: Vec<String>) -> ExitCode {
                 });
                 match parsed {
                     Some((i, m)) if m > 0 && i < m => cfg.shard = Some((i, m)),
-                    _ => {
-                        complain!("error: `--shard` needs I/M with I < M\n\n{FUZZ_USAGE}");
-                        return ExitCode::from(2);
-                    }
+                    _ => return usage_error("`--shard` needs I/M with I < M", FUZZ_USAGE),
                 }
             }
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.jobs = n,
-                _ => {
-                    complain!("error: `--jobs` needs a positive integer\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
+            "--jobs" => match positive(it.next()) {
+                Some(n) => cfg.jobs = n,
+                None => return usage_error("`--jobs` needs a positive integer", FUZZ_USAGE),
             },
             "--cross-check" => cfg.cross_check = true,
             "--trophy-dir" => match it.next() {
                 Some(d) => cfg.trophy_dir = Some(std::path::PathBuf::from(d)),
-                None => {
-                    complain!("error: `--trophy-dir` needs a directory\n\n{FUZZ_USAGE}");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("`--trophy-dir` needs a directory", FUZZ_USAGE),
             },
             "--exits" => print_exits = true,
             "--serve-replay" => serve_replay = true,
-            other => {
-                complain!("error: unknown fuzz option `{other}`\n\n{FUZZ_USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown fuzz option `{other}`"), FUZZ_USAGE),
         }
     }
     if serve_replay {

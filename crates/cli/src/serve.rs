@@ -10,15 +10,18 @@
 //! Two transports share one core:
 //!
 //! - **stdin-JSONL** — one JSON request object per line on stdin, one
-//!   JSON response object per line on stdout, *in request order* (a
-//!   reorder buffer sequences worker completions). In-band commands:
+//!   JSON response object per line on stdout, *in request order* (the
+//!   printer drains one FIFO of pending replies). In-band commands:
 //!   `{"cmd": "stats"}` and `{"cmd": "shutdown"}`. EOF also shuts down.
 //! - **HTTP** (`--listen ADDR`) — `POST /check` with the same request
 //!   object as the body returns the rendered report verbatim as the
 //!   response body (verdict/exit/cache outcome in `X-Cundef-*`
 //!   headers), plus `GET /stats`, `GET /health`, and `POST /shutdown`.
 //!   Connections are keep-alive; each parsed request is dispatched to
-//!   the worker pool.
+//!   the worker pool. Bodies above [`MAX_BODY`] get `413`.
+//!
+//! Both parse a request with [`ServeCore::parse_request`] and hand it to
+//! [`ServeCore::submit`]; either transport's shutdown ends the daemon.
 //!
 //! In front of the workers sits the content-hash incremental cache
 //! (`cundef-cache`): a *result* cache keyed by (source-bytes hash,
@@ -30,24 +33,19 @@
 //! surface through `{"cmd": "stats"}` / `GET /stats`.
 
 use crate::check::{
-    check_parsed, check_source, render_profile, CheckOptions, Checked, FailOn, Format, Phase,
-    PhaseStats,
+    check_parsed, check_source, parse_source, read_source, render_profile, Checked, Format,
+    PhaseStats, Settings,
 };
 use crate::pool::WorkerPool;
 use cundef_cache::{content_hash, CacheKey, CacheStats, LruCache};
 use cundef_semantics::ast::TranslationUnit;
-use cundef_semantics::eval::Engine;
-use cundef_semantics::parser;
 use cundef_ub::json::{escaped, Json};
-use cundef_ub::render::{
-    FileResult, HumanRenderer, JsonRenderer, Rendered, Renderer, SarifRenderer, Verdict,
-};
-use std::collections::BTreeMap;
+use cundef_ub::render::{FileResult, Rendered, Verdict};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Default bound on each cache (entries, not bytes): generous for a
@@ -55,16 +53,15 @@ use std::time::Instant;
 /// cannot grow without bound.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
+/// The largest HTTP request body the daemon reads (64 MiB, far above
+/// any real translation unit). A larger `Content-Length` gets `413`
+/// before anything is allocated for it.
+pub const MAX_BODY: usize = 64 << 20;
+
 /// Per-daemon configuration (from `cundef serve` flags).
 pub struct ServeConfig {
-    /// Default checking options for requests that don't override them.
-    pub opts: CheckOptions,
-    /// Default output format.
-    pub format: Format,
-    /// Default human-format quiet flag.
-    pub quiet: bool,
-    /// Default exit-code threshold.
-    pub fail_on: FailOn,
+    /// Defaults for requests that don't override them.
+    pub settings: Settings,
     /// Worker threads (0 = available parallelism).
     pub jobs: usize,
     /// Capacity of each cache, in entries.
@@ -85,14 +82,8 @@ pub struct CheckRequest {
     pub path: String,
     /// Inline source bytes (a translation unit shipped in-band).
     pub source: Option<String>,
-    /// Checking options for this request.
-    pub opts: CheckOptions,
-    /// Output format for this request.
-    pub format: Format,
-    /// Human-format quiet flag.
-    pub quiet: bool,
-    /// Exit-code threshold for this request.
-    pub fail_on: FailOn,
+    /// The daemon defaults with this request's overrides applied.
+    pub settings: Settings,
 }
 
 /// One served response: the rendered bytes plus the structured outcome.
@@ -137,7 +128,7 @@ impl ServeResponse {
 
 /// The daemon's shared state: caches, counters, defaults.
 pub struct ServeCore {
-    defaults: ServeDefaults,
+    defaults: Settings,
     /// Full-result cache: (content hash, options fingerprint) →
     /// path-normalized [`FileResult`].
     results: Mutex<LruCache<FileResult>>,
@@ -153,31 +144,9 @@ pub struct ServeCore {
     started: Instant,
 }
 
-/// Per-request defaults from the daemon's command line.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeDefaults {
-    /// Checking options.
-    pub opts: CheckOptions,
-    /// Output format.
-    pub format: Format,
-    /// Human quiet flag.
-    pub quiet: bool,
-    /// Exit threshold.
-    pub fail_on: FailOn,
-}
-
-/// Parse an `--engine` / request spelling.
-pub fn parse_engine(s: &str) -> Option<Engine> {
-    match s {
-        "tree" => Some(Engine::Tree),
-        "bytecode" => Some(Engine::Bytecode),
-        _ => None,
-    }
-}
-
 impl ServeCore {
     /// A fresh core with empty caches.
-    pub fn new(defaults: ServeDefaults, cache_capacity: usize, workers: usize) -> ServeCore {
+    pub fn new(defaults: Settings, cache_capacity: usize, workers: usize) -> ServeCore {
         ServeCore {
             defaults,
             results: Mutex::new(LruCache::new(cache_capacity)),
@@ -195,10 +164,10 @@ impl ServeCore {
     /// Parse one JSON request object against the daemon defaults.
     ///
     /// Recognized fields: `path` (string), `source` (string, inline
-    /// translation unit), `id` (number), `phase`, `engine`, `format`
-    /// (strings), `quiet` (bool), `profile` (bool), `fail_on` (string).
+    /// translation unit), `id` (number), `phase`, `engine`, `format`,
+    /// `fail_on` (strings, spelled as [`Settings::set`] takes them),
+    /// `quiet` and `profile` (bools).
     pub fn parse_request(&self, v: &Json) -> Result<CheckRequest, String> {
-        let d = self.defaults;
         let path = v.get("path").and_then(Json::as_str).map(str::to_string);
         let source = v.get("source").and_then(Json::as_str).map(str::to_string);
         let path = match (path, &source) {
@@ -206,38 +175,39 @@ impl ServeCore {
             (None, Some(_)) => "<request>.c".to_string(),
             (None, None) => return Err("request needs a `path` or inline `source`".into()),
         };
-        let id = v.get("id").and_then(Json::as_f64).map(|f| f as u64);
-        let mut opts = d.opts;
-        if let Some(s) = v.get("phase").and_then(Json::as_str) {
-            opts.phase = Phase::parse(s).ok_or_else(|| format!("unknown phase `{s}`"))?;
-        }
-        if let Some(s) = v.get("engine").and_then(Json::as_str) {
-            opts.engine = parse_engine(s).ok_or_else(|| format!("unknown engine `{s}`"))?;
+        let mut settings = self.defaults;
+        for name in ["phase", "engine", "format", "fail_on"] {
+            if let Some(value) = v.get(name).and_then(Json::as_str) {
+                settings.set(name, value)?;
+            }
         }
         if let Some(Json::Bool(b)) = v.get("profile") {
-            opts.profile = *b;
+            settings.opts.profile = *b;
         }
-        let format = match v.get("format").and_then(Json::as_str) {
-            Some(s) => Format::parse(s).ok_or_else(|| format!("unknown format `{s}`"))?,
-            None => d.format,
-        };
-        let quiet = match v.get("quiet") {
-            Some(Json::Bool(b)) => *b,
-            _ => d.quiet,
-        };
-        let fail_on = match v.get("fail_on").and_then(Json::as_str) {
-            Some(s) => FailOn::parse(s).ok_or_else(|| format!("unknown fail_on `{s}`"))?,
-            None => d.fail_on,
-        };
+        if let Some(Json::Bool(b)) = v.get("quiet") {
+            settings.quiet = *b;
+        }
         Ok(CheckRequest {
-            id,
+            id: request_id(v),
             path,
             source,
-            opts,
-            format,
-            quiet,
-            fail_on,
+            settings,
         })
+    }
+
+    /// Queue `req` on `pool`; the receiver yields its response. Both
+    /// transports answer checks through this one path.
+    pub fn submit(
+        self: &Arc<ServeCore>,
+        pool: &WorkerPool,
+        req: CheckRequest,
+    ) -> mpsc::Receiver<ServeResponse> {
+        let (tx, rx) = mpsc::channel();
+        let core = Arc::clone(self);
+        pool.submit(move || {
+            let _ = tx.send(core.handle(&req));
+        });
+        rx
     }
 
     /// Serve one request end to end: resolve the source bytes, consult
@@ -245,7 +215,7 @@ impl ServeCore {
     pub fn handle(&self, req: &CheckRequest) -> ServeResponse {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let (checked, cache) = self.check_cached(req);
-        let Rendered { stdout, stderr } = render_one(&checked.result, req.format, req.quiet);
+        let Rendered { stdout, stderr } = render_one(&checked.result, &req.settings);
         let mut stderr = stderr;
         if let Some(p) = &checked.profile {
             stderr.push_str(&render_profile(&checked.result.path, p));
@@ -259,7 +229,7 @@ impl ServeCore {
             id: req.id,
             path: req.path.clone(),
             verdict,
-            exit: req.fail_on.exit_code(any_ub, any_fail),
+            exit: req.settings.fail_on.exit_code(any_ub, any_fail),
             cache,
             stdout,
             stderr,
@@ -268,41 +238,33 @@ impl ServeCore {
 
     /// The caching check: full-result hit, warm unit hit, or cold miss.
     fn check_cached(&self, req: &CheckRequest) -> (Checked, &'static str) {
+        let opts = &req.settings.opts;
         let mut stats = PhaseStats::default();
+        let read;
         let source = match &req.source {
-            Some(s) => s.clone(),
-            None => {
-                let t = Instant::now();
-                match std::fs::read_to_string(&req.path) {
-                    Ok(s) => {
-                        stats.read = t.elapsed();
-                        s
-                    }
-                    Err(e) => {
-                        stats.read = t.elapsed();
-                        // Not content-addressable: never cached.
-                        self.uncached.fetch_add(1, Ordering::Relaxed);
-                        return (
-                            Checked::failed(&req.path, stats, format!("cannot read file: {e}")),
-                            "uncached",
-                        );
-                    }
+            Some(s) => s.as_str(),
+            None => match read_source(&req.path, &mut stats) {
+                Ok(s) => {
+                    read = s;
+                    read.as_str()
                 }
-            }
+                Err(e) => {
+                    // Not content-addressable: never cached.
+                    self.uncached.fetch_add(1, Ordering::Relaxed);
+                    return (Checked::failed(&req.path, stats, e), "uncached");
+                }
+            },
         };
-        if req.opts.profile {
+        if opts.profile {
             // Profiling wants fresh telemetry, and cached results carry
             // none — bypass the cache entirely.
             self.uncached.fetch_add(1, Ordering::Relaxed);
-            return (
-                check_source(&req.path, &source, stats, &req.opts),
-                "uncached",
-            );
+            return (check_source(&req.path, source, stats, opts), "uncached");
         }
         let content = content_hash(source.as_bytes());
         let result_key = CacheKey {
             content,
-            fingerprint: req.opts.fingerprint(),
+            fingerprint: opts.fingerprint(),
         };
         if let Some(cached) = self
             .results
@@ -335,27 +297,22 @@ impl ServeCore {
         let (checked, cache) = match cached_unit {
             Some(unit) => {
                 self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                (check_parsed(&req.path, &unit, stats, &req.opts), "warm")
+                (check_parsed(&req.path, &unit, stats, opts), "warm")
             }
             None => {
                 self.cold_misses.fetch_add(1, Ordering::Relaxed);
-                match parser::parse_timed(&source) {
-                    Err(parse_err) => (
-                        Checked::failed(&req.path, stats, parse_err.to_string()),
-                        "miss",
-                    ),
-                    Ok((unit, timing)) => {
-                        stats.lex = timing.lex;
-                        stats.parse = timing.parse;
-                        stats.resolve = timing.resolve;
+                let checked = match parse_source(source, &mut stats) {
+                    Err(e) => Checked::failed(&req.path, stats, e),
+                    Ok(unit) => {
                         let unit = Arc::new(unit);
                         self.units
                             .lock()
                             .expect("unit cache poisoned")
                             .insert(unit_key, Arc::clone(&unit));
-                        (check_parsed(&req.path, &unit, stats, &req.opts), "miss")
+                        check_parsed(&req.path, &unit, stats, opts)
                     }
-                }
+                };
+                (checked, "miss")
             }
         };
         // Memoize the full result, path-normalized so the same bytes
@@ -417,15 +374,16 @@ impl ServeCore {
 
 /// Render one result exactly as a one-shot run would: per-file render
 /// plus the format's trailing output (the SARIF document).
-pub fn render_one(result: &FileResult, format: Format, quiet: bool) -> Rendered {
-    let mut renderer: Box<dyn Renderer> = match format {
-        Format::Human => Box::new(HumanRenderer::new(quiet)),
-        Format::Json => Box::new(JsonRenderer::new()),
-        Format::Sarif => Box::new(SarifRenderer::new(env!("CARGO_PKG_VERSION"))),
-    };
+pub fn render_one(result: &FileResult, settings: &Settings) -> Rendered {
+    let mut renderer = settings.renderer();
     let mut rendered = renderer.render_file(result);
     rendered.stdout.push_str(&renderer.finish());
     rendered
+}
+
+/// The request's pass-through `id`, when it has one.
+fn request_id(v: &Json) -> Option<u64> {
+    v.get("id").and_then(Json::as_f64).map(|f| f as u64)
 }
 
 /// A `{"type": "error"}` line for a malformed request.
@@ -439,28 +397,20 @@ fn error_jsonl(id: Option<u64>, message: &str) -> String {
     out
 }
 
-/// Run the daemon. Returns the process exit code.
+/// Run the daemon until either transport shuts it down. Returns the
+/// process exit code.
 pub fn run_serve(cfg: ServeConfig) -> u8 {
     let workers = if cfg.jobs == 0 {
         WorkerPool::default_workers()
     } else {
         cfg.jobs
     };
-    let core = Arc::new(ServeCore::new(
-        ServeDefaults {
-            opts: cfg.opts,
-            format: cfg.format,
-            quiet: cfg.quiet,
-            fail_on: cfg.fail_on,
-        },
-        cfg.cache_capacity,
-        workers,
-    ));
+    let core = Arc::new(ServeCore::new(cfg.settings, cfg.cache_capacity, workers));
     let pool = Arc::new(WorkerPool::new(workers));
-    let stop = Arc::new(AtomicBool::new(false));
-    let done = Arc::new((Mutex::new(false), Condvar::new()));
+    // Every shutdown path sends here: `POST /shutdown`, and the stdin
+    // loop once it has printed its last reply.
+    let (shutdown, shutdown_requested) = mpsc::channel::<()>();
 
-    let mut http_addr = None;
     if let Some(addr) = &cfg.listen {
         let listener = match TcpListener::bind(addr) {
             Ok(l) => l,
@@ -474,129 +424,102 @@ pub fn run_serve(cfg: ServeConfig) -> u8 {
             .map(|a| a.to_string())
             .unwrap_or_else(|_| addr.clone());
         eprintln!("cundef serve: listening on http://{local}");
-        http_addr = Some(local);
-        let core = Arc::clone(&core);
-        let pool = Arc::clone(&pool);
-        let stop = Arc::clone(&stop);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || http_accept_loop(listener, core, pool, stop, done));
+        let (core, pool, shutdown) = (Arc::clone(&core), Arc::clone(&pool), shutdown.clone());
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let (core, pool, shutdown) =
+                    (Arc::clone(&core), Arc::clone(&pool), shutdown.clone());
+                std::thread::spawn(move || {
+                    let _ = handle_connection(stream, &core, &pool, &shutdown);
+                });
+            }
+        });
     }
-
     if cfg.stdin {
-        stdin_loop(&core, &pool);
-        // stdin closing ends the whole service, HTTP included.
-        stop.store(true, Ordering::SeqCst);
-        if let Some(addr) = &http_addr {
-            let _ = TcpStream::connect(addr); // wake the accept loop
-        }
-    } else {
-        // HTTP-only: park until /shutdown.
-        let (lock, cv) = &*done;
-        let mut finished = lock.lock().expect("shutdown flag poisoned");
-        while !*finished {
-            finished = cv.wait(finished).expect("shutdown flag poisoned");
-        }
+        let (core, pool, shutdown) = (Arc::clone(&core), Arc::clone(&pool), shutdown.clone());
+        std::thread::spawn(move || {
+            stdin_loop(&core, &pool);
+            let _ = shutdown.send(());
+        });
     }
+    drop(shutdown);
+    let _ = shutdown_requested.recv();
     eprintln!("{}", core.summary());
     0
 }
 
-/// The stdin-JSONL request loop. Responses print in request order; a
-/// reorder buffer on the printer thread sequences worker completions.
-fn stdin_loop(core: &Arc<ServeCore>, pool: &Arc<WorkerPool>) {
-    let (tx, rx) = mpsc::channel::<(u64, String)>();
-    // (next sequence number to print, printed-count condvar).
-    let progress = Arc::new((Mutex::new(0u64), Condvar::new()));
+/// One stdin-JSONL reply, queued in request order.
+enum Reply {
+    /// A line that is ready now (an error envelope, the shutdown ack).
+    Line(String),
+    /// A check in flight on the pool.
+    Check(mpsc::Receiver<ServeResponse>),
+    /// A stats snapshot, taken when the printer reaches it: every check
+    /// queued before it has answered by then. The reader submits no
+    /// later request until the sender reports the snapshot taken, so it
+    /// counts exactly the requests that preceded it on stdin.
+    Stats(mpsc::Sender<()>),
+}
+
+/// The stdin-JSONL request loop. Replies print in request order: the
+/// printer thread drains one FIFO of [`Reply`]s, waiting on each check
+/// in turn. Returns once every queued reply has printed.
+fn stdin_loop(core: &Arc<ServeCore>, pool: &WorkerPool) {
+    let (tx, rx) = mpsc::channel::<Reply>();
     let printer = {
-        let progress = Arc::clone(&progress);
+        let core = Arc::clone(core);
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
-            let mut buffer: BTreeMap<u64, String> = BTreeMap::new();
-            let mut next = 0u64;
-            for (seq, line) in rx {
-                buffer.insert(seq, line);
-                let mut emitted = false;
-                while let Some(line) = buffer.remove(&next) {
-                    let mut out = stdout.lock();
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                    next += 1;
-                    emitted = true;
-                }
-                if emitted {
-                    let (lock, cv) = &*progress;
-                    *lock.lock().expect("printer progress poisoned") = next;
-                    cv.notify_all();
-                }
+            for reply in rx {
+                let line = match reply {
+                    Reply::Line(line) => line,
+                    Reply::Check(resp) => match resp.recv() {
+                        Ok(resp) => resp.to_jsonl(),
+                        Err(_) => error_jsonl(None, "check failed: worker stopped"),
+                    },
+                    Reply::Stats(taken) => {
+                        let line = core.stats_json();
+                        let _ = taken.send(());
+                        line
+                    }
+                };
+                let mut out = stdout.lock();
+                let _ = writeln!(out, "{line}");
+                let _ = out.flush();
             }
         })
     };
-    // Block until every response up to `seq` has printed — the barrier
-    // that makes `stats` deterministic (it reflects every request that
-    // preceded it on stdin) and `shutdown` clean (nothing in flight).
-    let drain = |seq: u64| {
-        let (lock, cv) = &*progress;
-        let mut printed = lock.lock().expect("printer progress poisoned");
-        while *printed < seq {
-            printed = cv.wait(printed).expect("printer progress poisoned");
-        }
-    };
-    let mut seq = 0u64;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = Json::parse(&line);
-        let id = parsed
-            .as_ref()
-            .and_then(|v| v.get("id"))
-            .and_then(Json::as_f64)
-            .map(|f| f as u64);
-        let Some(v) = parsed else {
-            let _ = tx.send((seq, error_jsonl(id, "request line is not valid JSON")));
-            seq += 1;
-            continue;
+        let reply = match Json::parse(&line) {
+            None => Reply::Line(error_jsonl(None, "request line is not valid JSON")),
+            Some(v) => match v.get("cmd").and_then(Json::as_str) {
+                Some("stats") => {
+                    let (taken, snapshot) = mpsc::channel();
+                    let _ = tx.send(Reply::Stats(taken));
+                    let _ = snapshot.recv();
+                    continue;
+                }
+                Some("shutdown") => {
+                    let _ = tx.send(Reply::Line("{\"type\": \"shutdown\"}".to_string()));
+                    break;
+                }
+                Some(other) => Reply::Line(error_jsonl(
+                    request_id(&v),
+                    &format!("unknown cmd `{other}`"),
+                )),
+                None => match core.parse_request(&v) {
+                    Ok(req) => Reply::Check(core.submit(pool, req)),
+                    Err(msg) => Reply::Line(error_jsonl(request_id(&v), &msg)),
+                },
+            },
         };
-        match v.get("cmd").and_then(Json::as_str) {
-            Some("stats") => {
-                drain(seq);
-                let _ = tx.send((seq, core.stats_json()));
-                seq += 1;
-                continue;
-            }
-            Some("shutdown") => {
-                drain(seq);
-                let _ = tx.send((seq, "{\"type\": \"shutdown\"}".to_string()));
-                seq += 1;
-                break;
-            }
-            Some(other) => {
-                let _ = tx.send((seq, error_jsonl(id, &format!("unknown cmd `{other}`"))));
-                seq += 1;
-                continue;
-            }
-            None => {}
-        }
-        match core.parse_request(&v) {
-            Err(msg) => {
-                let _ = tx.send((seq, error_jsonl(id, &msg)));
-                seq += 1;
-            }
-            Ok(req) => {
-                let core = Arc::clone(core);
-                let tx = tx.clone();
-                let s = seq;
-                pool.submit(move || {
-                    let resp = core.handle(&req);
-                    let _ = tx.send((s, resp.to_jsonl()));
-                });
-                seq += 1;
-            }
-        }
+        let _ = tx.send(reply);
     }
-    drain(seq);
     drop(tx);
     let _ = printer.join();
 }
@@ -605,50 +528,18 @@ fn stdin_loop(core: &Arc<ServeCore>, pool: &Arc<WorkerPool>) {
 // HTTP transport
 // --------------------------------------------------------------------
 
-/// Accept connections until `stop`; one thread per connection.
-fn http_accept_loop(
-    listener: TcpListener,
-    core: Arc<ServeCore>,
-    pool: Arc<WorkerPool>,
-    stop: Arc<AtomicBool>,
-    done: Arc<(Mutex<bool>, Condvar)>,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let core = Arc::clone(&core);
-        let pool = Arc::clone(&pool);
-        let stop = Arc::clone(&stop);
-        let done = Arc::clone(&done);
-        let addr = listener.local_addr().ok();
-        std::thread::spawn(move || {
-            let _ = handle_connection(stream, core, pool, stop, done, addr);
-        });
-    }
-    let (lock, cv) = &*done;
-    *lock.lock().expect("shutdown flag poisoned") = true;
-    cv.notify_all();
-}
-
 /// Serve HTTP/1.1 requests on one connection (keep-alive) until the
-/// peer closes, asks to, or the daemon shuts down.
+/// peer closes or asks to, or a request is malformed.
 fn handle_connection(
     stream: TcpStream,
-    core: Arc<ServeCore>,
-    pool: Arc<WorkerPool>,
-    stop: Arc<AtomicBool>,
-    done: Arc<(Mutex<bool>, Condvar)>,
-    local_addr: Option<std::net::SocketAddr>,
+    core: &Arc<ServeCore>,
+    pool: &WorkerPool,
+    shutdown: &mpsc::Sender<()>,
 ) -> std::io::Result<()> {
     let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
         let mut request_line = String::new();
         if reader.read_line(&mut request_line)? == 0 {
             break; // peer closed
@@ -661,7 +552,8 @@ fn handle_connection(
                 break;
             }
         };
-        let mut content_length = 0usize;
+        // `Err` holds the status and message that refuse the body.
+        let mut content_length: Result<usize, (u16, &str)> = Ok(0);
         let mut close = false;
         loop {
             let mut header = String::new();
@@ -676,12 +568,32 @@ fn handle_connection(
                 let name = name.trim().to_ascii_lowercase();
                 let value = value.trim();
                 if name == "content-length" {
-                    content_length = value.parse().unwrap_or(0);
+                    content_length = match value.parse::<usize>() {
+                        Ok(n) if n <= MAX_BODY => Ok(n),
+                        Ok(_) => Err((413, "request body too large\n")),
+                        Err(_) => Err((400, "bad Content-Length\n")),
+                    };
                 } else if name == "connection" && value.eq_ignore_ascii_case("close") {
                     close = true;
                 }
             }
         }
+        let content_length = match content_length {
+            Ok(n) => n,
+            Err((status, message)) => {
+                // The body is never read, so the stream cannot be
+                // resynchronized: answer and close.
+                let headers = ["Connection: close".to_string()];
+                write_http(
+                    &mut writer,
+                    status,
+                    "text/plain",
+                    &headers,
+                    message.as_bytes(),
+                )?;
+                break;
+            }
+        };
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
 
@@ -698,26 +610,13 @@ fn handle_connection(
                         write_http(&mut writer, 400, "application/json", &[], body.as_bytes())?;
                     }
                     Ok(req) => {
-                        let content_type = match req.format {
+                        let content_type = match req.settings.format {
                             Format::Human => "text/plain; charset=utf-8",
                             Format::Json => "application/x-ndjson",
                             Format::Sarif => "application/json",
                         };
-                        // Shard the check across the worker pool; this
-                        // connection thread just waits for its slot.
-                        let (rtx, rrx) = mpsc::channel();
-                        let job_core = Arc::clone(&core);
-                        pool.submit(move || {
-                            let _ = rtx.send(job_core.handle(&req));
-                        });
-                        let Ok(resp) = rrx.recv() else {
-                            write_http(
-                                &mut writer,
-                                500,
-                                "text/plain",
-                                &[],
-                                b"worker pool unavailable\n",
-                            )?;
+                        let Ok(resp) = core.submit(pool, req).recv() else {
+                            write_http(&mut writer, 500, "text/plain", &[], b"check failed\n")?;
                             break;
                         };
                         let mut extra = vec![
@@ -747,13 +646,7 @@ fn handle_connection(
             }
             ("POST", "/shutdown") => {
                 write_http(&mut writer, 200, "text/plain", &[], b"shutting down\n")?;
-                stop.store(true, Ordering::SeqCst);
-                if let Some(addr) = local_addr {
-                    let _ = TcpStream::connect(addr); // wake the accept loop
-                }
-                let (lock, cv) = &*done;
-                *lock.lock().expect("shutdown flag poisoned") = true;
-                cv.notify_all();
+                let _ = shutdown.send(());
                 break;
             }
             _ => {
@@ -786,16 +679,7 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
     use cundef_fuzz::gen::{generate, Class};
     use cundef_fuzz::rng::case_seed;
 
-    let defaults = ServeDefaults {
-        opts: CheckOptions {
-            phase: Phase::All,
-            engine: Engine::default(),
-            profile: false,
-        },
-        format: Format::Human,
-        quiet: false,
-        fail_on: FailOn::Ub,
-    };
+    let defaults = Settings::default();
     let core = ServeCore::new(defaults, DEFAULT_CACHE_CAPACITY, 1);
     let formats = [Format::Human, Format::Json, Format::Sarif];
     let mut divergences = 0u64;
@@ -803,27 +687,27 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
         let class = Class::of_case(i);
         let mut d = DecisionSource::from_seed(case_seed(seed, i));
         let case = generate(class, &mut d);
-        let format = formats[(i % 3) as usize];
+        let settings = Settings {
+            format: formats[(i % 3) as usize],
+            ..defaults
+        };
         let path = format!("fuzz-{i}.c");
 
         // The ground truth: what a one-shot run prints for these bytes.
         let checked = check_source(&path, &case.source, PhaseStats::default(), &defaults.opts);
-        let expected = render_one(&checked.result, format, false);
+        let expected = render_one(&checked.result, &settings);
         let (any_ub, any_fail) = match checked.result.verdict {
             Verdict::Defined => (false, false),
             Verdict::Undefined => (true, false),
             Verdict::EngineFailure => (false, true),
         };
-        let expected_exit = FailOn::Ub.exit_code(any_ub, any_fail);
+        let expected_exit = settings.fail_on.exit_code(any_ub, any_fail);
 
         let req = CheckRequest {
             id: Some(i),
             path: path.clone(),
             source: Some(case.source.clone()),
-            opts: defaults.opts,
-            format,
-            quiet: false,
-            fail_on: FailOn::Ub,
+            settings,
         };
         for pass in ["cold", "warm"] {
             let resp = core.handle(&req);
@@ -836,7 +720,7 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
                     "serve-replay: DIVERGENCE case {i} ({}, {:?}, {pass} pass): \
                      serve exit {} vs one-shot {expected_exit}",
                     class.name(),
-                    format,
+                    settings.format,
                     resp.exit,
                 );
                 eprintln!("  serve stdout:    {}", escaped(&resp.stdout));
@@ -887,6 +771,7 @@ fn write_http(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     let mut head = format!(

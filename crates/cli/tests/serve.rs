@@ -1,4 +1,5 @@
-//! End-to-end tests of `cundef serve` over the stdin-JSONL transport.
+//! End-to-end tests of `cundef serve` over both transports:
+//! stdin-JSONL and HTTP (`--listen`).
 //!
 //! The daemon's contract: a serve response's rendered bytes are
 //! **byte-identical** to what a one-shot `cundef` run prints for the
@@ -14,10 +15,12 @@
 //! double miss (benign — both compute the same bytes), so outcome
 //! labels are only deterministic single-threaded.
 
-use cundef_ub::json::Json;
-use std::io::Write;
+use cundef_ub::json::{escaped, Json};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, ChildStderr, ChildStdin, ChildStdout, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -300,6 +303,22 @@ fn serve_stats_deterministic() {
     assert_eq!(num_field(stats, "uncached"), 0);
 }
 
+/// Requests after a `stats` line wait for its snapshot, so with parallel
+/// workers it still counts only the requests before it.
+#[test]
+fn serve_stats_excludes_later_requests() {
+    let mut input = String::from("{\"path\": \"examples/defined.c\"}\n{\"cmd\": \"stats\"}\n");
+    for i in 0..20 {
+        input.push_str(&format!(
+            "{{\"source\": \"int main(void) {{ return {i}; }}\"}}\n"
+        ));
+    }
+    input.push_str("{\"cmd\": \"stats\"}\n{\"cmd\": \"shutdown\"}\n");
+    let responses = serve(&["--jobs", "2"], &input);
+    assert_eq!(num_field(&responses[1], "requests"), 1);
+    assert_eq!(num_field(&responses[22], "requests"), 21);
+}
+
 // --------------------------------------------------------------------
 // Per-request fail_on, error envelopes
 // --------------------------------------------------------------------
@@ -378,4 +397,230 @@ fn serve_responses_in_request_order() {
         let want = if i % 2 == 0 { "defined" } else { "undefined" };
         assert_eq!(str_field(resp, "verdict"), want);
     }
+}
+
+// --------------------------------------------------------------------
+// HTTP transport
+// --------------------------------------------------------------------
+
+/// A `cundef serve --listen 127.0.0.1:0` daemon. Its stdin stays open
+/// until the daemon is dropped; dropping it also kills the process.
+struct Daemon {
+    child: Child,
+    stdin: ChildStdin,
+    stdout: BufReader<ChildStdout>,
+    stderr: BufReader<ChildStderr>,
+    /// The bound address the daemon announced on stderr.
+    addr: String,
+}
+
+impl Daemon {
+    fn spawn(args: &[&str]) -> Daemon {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cundef"))
+            .current_dir(workspace_root())
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon should spawn");
+        let stdin = child.stdin.take().expect("stdin piped");
+        let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+        let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let mut line = String::new();
+        stderr.read_line(&mut line).expect("read the listen line");
+        let addr = line
+            .trim_end()
+            .strip_prefix("cundef serve: listening on http://")
+            .unwrap_or_else(|| panic!("unexpected first stderr line: {line:?}"))
+            .to_string();
+        Daemon {
+            child,
+            stdin,
+            stdout,
+            stderr,
+            addr,
+        }
+    }
+
+    /// One request on a fresh connection (`Connection: close`).
+    fn http(&self, method: &str, target: &str, body: &str) -> HttpResponse {
+        self.raw(&format!(
+            "{method} {target} HTTP/1.1\r\nHost: cundef\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        ))
+    }
+
+    /// Send `request` verbatim on a fresh connection and read the
+    /// response until the daemon closes it.
+    fn raw(&self, request: &str) -> HttpResponse {
+        let mut conn = TcpStream::connect(&self.addr).expect("connect to the daemon");
+        conn.set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("set a read timeout");
+        conn.write_all(request.as_bytes()).expect("send request");
+        let mut raw = String::new();
+        conn.read_to_string(&mut raw).expect("read response");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("header terminator");
+        let mut lines = head.split("\r\n");
+        let status = lines.next().expect("status line");
+        let status = status.split(' ').nth(1).expect("status code");
+        let headers = lines
+            .map(|h| {
+                let (name, value) = h.split_once(": ").expect("header line");
+                (name.to_ascii_lowercase(), value.to_string())
+            })
+            .collect();
+        HttpResponse {
+            status: status.parse().expect("numeric status"),
+            headers,
+            body: body.to_string(),
+        }
+    }
+
+    /// Wait (at most 20 s) for the daemon to exit; its exit code and
+    /// the rest of its stderr.
+    fn wait(&mut self) -> (Option<i32>, String) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("poll daemon") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "daemon did not exit");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut rest = String::new();
+        self.stderr.read_to_string(&mut rest).expect("read stderr");
+        (status.code(), rest)
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+struct HttpResponse {
+    status: u16,
+    /// Lower-cased names, in order.
+    headers: Vec<(String, String)>,
+    body: String,
+}
+
+impl HttpResponse {
+    fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// `POST /check` answers with exactly a one-shot run's bytes: the body
+/// is its stdout and the `X-Cundef-*` headers its verdict, exit code,
+/// stderr and the cache outcome (a repeat hits). The other routes, the
+/// stats counters, the error statuses and `POST /shutdown` follow.
+#[test]
+fn http_matches_one_shot_and_shuts_down() {
+    let mut daemon = Daemon::spawn(&["--jobs", "1"]);
+    let cases = [
+        ("human", "examples/unsequenced.c"),
+        ("json", "examples/defined.c"),
+        ("sarif", "examples/division_by_zero.c"),
+    ];
+    for (format, file) in cases {
+        let one_shot = cundef(&["--format", format, file]);
+        let exit = one_shot.status.code().expect("one-shot exit");
+        let verdict = ["defined", "undefined", "error"][exit as usize];
+        let stderr = String::from_utf8(one_shot.stderr).unwrap();
+        for cache in ["miss", "hit"] {
+            let request = format!("{{\"path\": \"{file}\", \"format\": \"{format}\"}}");
+            let resp = daemon.http("POST", "/check", &request);
+            assert_eq!(resp.status, 200, "{file} ({format})");
+            assert_eq!(resp.body.as_bytes(), one_shot.stdout, "{file} ({format})");
+            assert_eq!(resp.header("x-cundef-verdict"), Some(verdict));
+            assert_eq!(
+                resp.header("x-cundef-exit"),
+                Some(exit.to_string().as_str())
+            );
+            assert_eq!(
+                resp.header("x-cundef-cache"),
+                Some(cache),
+                "{file} ({format})"
+            );
+            let want_stderr = (!stderr.is_empty()).then(|| escaped(&stderr));
+            assert_eq!(resp.header("x-cundef-stderr"), want_stderr.as_deref());
+        }
+    }
+
+    let stats = daemon.http("GET", "/stats", "");
+    assert_eq!(stats.status, 200);
+    let stats = Json::parse(&stats.body).expect("stats body is JSON");
+    assert_eq!(num_field(&stats, "requests"), 6);
+    assert_eq!(num_field(&stats, "full_hits"), 3);
+    assert_eq!(num_field(&stats, "cold_misses"), 3);
+
+    let health = daemon.http("GET", "/health", "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    assert_eq!(daemon.http("GET", "/nowhere", "").status, 404);
+    let bad = daemon.http("POST", "/check", "this is not json");
+    assert_eq!(bad.status, 400);
+    let bad = Json::parse(bad.body.trim_end()).expect("error body is JSON");
+    assert_eq!(str_field(&bad, "type"), "error");
+    let bad = daemon.http("POST", "/check", r#"{"path": "a.c", "format": "yaml"}"#);
+    assert_eq!(bad.status, 400);
+    assert!(
+        bad.body.contains("`human`, `json`, or `sarif`"),
+        "{}",
+        bad.body
+    );
+
+    let bye = daemon.http("POST", "/shutdown", "");
+    assert_eq!(bye.status, 200);
+    let (code, stderr) = daemon.wait();
+    assert_eq!(code, Some(0));
+    assert!(
+        stderr.contains("cundef serve: 6 requests served (3 hits, 0 warm, 3 misses, 0 uncached)"),
+        "{stderr}"
+    );
+}
+
+/// A `Content-Length` above the body cap gets 413 before anything is
+/// allocated, an unparsable one gets 400, and the daemon keeps serving.
+#[test]
+fn http_refuses_oversized_and_malformed_bodies() {
+    let mut daemon = Daemon::spawn(&["--jobs", "1"]);
+    let huge = daemon.raw("POST /check HTTP/1.1\r\nContent-Length: 100000000000000\r\n\r\n");
+    assert_eq!(huge.status, 413);
+    assert_eq!(huge.header("connection"), Some("close"));
+    let garbled = daemon.raw("POST /check HTTP/1.1\r\nContent-Length: lots\r\n\r\n{}");
+    assert_eq!(garbled.status, 400);
+    let health = daemon.http("GET", "/health", "");
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    assert_eq!(daemon.http("POST", "/shutdown", "").status, 200);
+    assert_eq!(daemon.wait().0, Some(0));
+}
+
+/// With both transports on, `POST /shutdown` ends the whole daemon even
+/// while stdin stays open.
+#[test]
+fn http_shutdown_ends_stdin_mode_too() {
+    let mut daemon = Daemon::spawn(&["--stdin", "--jobs", "1"]);
+    daemon
+        .stdin
+        .write_all(b"{\"path\": \"examples/defined.c\", \"id\": 1}\n")
+        .expect("write a stdin request");
+    daemon.stdin.flush().expect("flush stdin");
+    let mut line = String::new();
+    daemon
+        .stdout
+        .read_line(&mut line)
+        .expect("read the stdin reply");
+    let reply = Json::parse(&line).expect("reply is JSON");
+    assert_eq!(str_field(&reply, "verdict"), "defined");
+    assert_eq!(daemon.http("POST", "/shutdown", "").status, 200);
+    assert_eq!(daemon.wait().0, Some(0));
 }

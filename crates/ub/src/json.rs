@@ -254,11 +254,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Advance one whole UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next delimiter at once.
+                // Both delimiters are ASCII, so the run ends on a char
+                // boundary and validating it costs only its own length.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).ok()?);
+                *pos = end;
             }
         }
     }
@@ -289,6 +293,22 @@ mod tests {
         let doc = format!("{{\"s\": {}}}", escaped(nasty));
         let parsed = Json::parse(&doc).expect("parses");
         assert_eq!(parsed.get("s").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn large_strings_round_trip() {
+        // ~256 KiB of multibyte text interleaved with every escape the
+        // parser accepts; parsing must stay linear in the input.
+        let chunk = "ascii, ünïcödé, 漢字, 🦀 \" \\ / \u{8} \u{c} \n \r \t \u{1} ";
+        let big = chunk.repeat(256 * 1024 / chunk.len());
+        let doc = format!("{{\"s\": {}}}", escaped(&big));
+        let parsed = Json::parse(&doc).expect("parses");
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(big.as_str()));
+        let hand = Json::parse(r#"["\/\b\f\u00e9\u6f22"]"#).expect("parses");
+        assert_eq!(
+            hand.as_arr().unwrap()[0],
+            Json::Str("/\u{8}\u{c}é漢".into())
+        );
     }
 
     #[test]
