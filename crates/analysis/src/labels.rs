@@ -331,6 +331,34 @@ mod tests {
     }
 
     #[test]
+    fn case_labels_follow_the_one_constant_expression_predicate() {
+        // `sizeof x` is a `size_t` constant (§6.5.3.4:2).
+        assert_eq!(
+            kinds_of("int main(void) { int x = 1; switch (4) { case sizeof x: ; } return x; }"),
+            vec![]
+        );
+        // An identifier operand disqualifies the label even where it is
+        // never evaluated (§6.6:6), whichever operator hides it.
+        for label in ["1 ? 2 : !x", "0 && x", "1 ? 2 : -x", "1 || x"] {
+            let src = format!(
+                "int main(void) {{ int x = 1; switch (4) {{ case {label}: ; }} return x; }}"
+            );
+            assert_eq!(
+                kinds_of(&src),
+                vec![UbKind::NonConstantCaseLabel],
+                "{label}"
+            );
+        }
+        // `sizeof` of a VLA is not a constant.
+        assert_eq!(
+            kinds_of(
+                "int main(void) { int n = 2; int v[n]; switch (4) { case sizeof v: ; } return 0; }"
+            ),
+            vec![UbKind::NonConstantCaseLabel]
+        );
+    }
+
+    #[test]
     fn jumps_into_vla_scope() {
         // goto forward past a VLA declaration into its scope.
         assert_eq!(

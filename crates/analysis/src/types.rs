@@ -1,10 +1,11 @@
-//! The type-checking pass: a real (if small) C type system over the
-//! subset's expression language.
+//! The type-checking pass: C's type constraints over the subset's
+//! expression language.
 //!
-//! The walker mirrors the resolver's scope discipline exactly (§6.2.1:
-//! a declaration's scope opens after its declarator, parameters share
-//! the body's outermost block) and computes a value type for every
-//! expression bottom-up. It reports:
+//! The types themselves are not computed here: the resolver recorded
+//! the value type of every expression ([`TranslationUnit::ty`]) and the
+//! declared type of every frame slot ([`Function::slots`]) with the
+//! workspace's one set of typing rules. This pass walks each body once
+//! and reports:
 //!
 //! - objects declared with an incomplete type (`void x;`, §6.7:7);
 //! - `restrict` on non-pointer types (§6.7.3:2);
@@ -22,65 +23,22 @@
 //!   expressions are themselves undefined (§6.7.6.2:1, §6.6:4).
 
 use cundef_semantics::ast::{
-    BinOp, Decl, ExprId, ExprKind, Function, SlotId, Stmt, StmtId, TranslationUnit, Ty, UnaryOp,
+    Base, Decl, ExprId, ExprKind, Function, SlotId, SlotTy, Stmt, StmtId, TranslationUnit, Ty,
+    ValTy,
 };
 use cundef_semantics::consteval::{const_eval, ConstStop};
-use cundef_semantics::ctype::{IntTy, SIZE_T};
 use cundef_semantics::intern::Symbol;
 use cundef_ub::{SourceLoc, UbError, UbKind};
-
-/// What sits at the bottom of a pointer chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Base {
-    /// `void` under the stars (`void *` is `Ptr { depth: 1, base: Void }`).
-    Void,
-    /// An integer type of the LP64 lattice.
-    Scalar(IntTy),
-}
-
-/// The analyzer's value types: what an expression would evaluate to.
-/// This is the full lattice of the subset — every integer type of
-/// [`IntTy`] plus pointers that remember both their depth and their
-/// pointee's base type, so call-argument and conversion checks are
-/// width-aware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Type {
-    /// An integer type of the LP64 lattice.
-    Scalar(IntTy),
-    /// Pointer of the given depth over the given base.
-    Ptr { depth: u8, base: Base },
-    /// The value of a `void` expression — using it is a finding.
-    Void,
-    /// Outside the analyzable fragment (undeclared names, dynamic
-    /// mixes); the checker stays silent rather than guessing.
-    Unknown,
-}
-
-/// What a frame slot was declared as.
-struct SlotInfo {
-    ty: Ty,
-    is_array: bool,
-    is_const: bool,
-}
 
 /// Run the type pass over one function.
 pub fn check(unit: &TranslationUnit, func: &Function, findings: &mut Vec<UbError>) {
     let mut w = TypeWalker {
         unit,
+        func,
         fname: unit.name_of(func),
         is_main: unit.name_of(func) == "main" && !func.returns_void,
-        slots: (0..func.n_slots).map(|_| None).collect(),
-        scopes: vec![Vec::new()],
         findings,
     };
-    for (i, p) in func.params.iter().enumerate() {
-        w.slots[i] = Some(SlotInfo {
-            ty: p.ty.clone(),
-            is_array: false,
-            is_const: false,
-        });
-        w.scopes[0].push((p.name, SlotId::from_index(i)));
-    }
     for &s in &func.body {
         w.stmt(s);
     }
@@ -88,12 +46,9 @@ pub fn check(unit: &TranslationUnit, func: &Function, findings: &mut Vec<UbError
 
 struct TypeWalker<'a> {
     unit: &'a TranslationUnit,
+    func: &'a Function,
     fname: &'a str,
     is_main: bool,
-    slots: Vec<Option<SlotInfo>>,
-    /// Innermost scope last, mirroring the resolver: used to find the
-    /// *previous* declaration a redeclaration clashes with.
-    scopes: Vec<Vec<(Symbol, SlotId)>>,
     findings: &'a mut Vec<UbError>,
 }
 
@@ -111,15 +66,17 @@ impl<'a> TypeWalker<'a> {
         self.unit.interner.resolve(sym)
     }
 
+    fn slot(&self, slot: SlotId) -> SlotTy {
+        self.func.slots[slot.index()]
+    }
+
     // ----- statements -----
 
     fn stmt(&mut self, s: StmtId) {
         match self.unit.stmt(s) {
             Stmt::Decl(d) => self.decl(d),
-            Stmt::Expr(e) => {
-                // A full expression's value is discarded; `void` is fine.
-                self.ty_of(*e);
-            }
+            // A full expression's value is discarded; `void` is fine.
+            Stmt::Expr(e) => self.expr(*e),
             Stmt::If(c, then, els) => {
                 self.value(*c);
                 self.stmt(*then);
@@ -132,7 +89,6 @@ impl<'a> TypeWalker<'a> {
                 self.stmt(*body);
             }
             Stmt::For(init, cond, step, body) => {
-                self.scopes.push(Vec::new());
                 if let Some(init) = init {
                     self.stmt(*init);
                 }
@@ -140,10 +96,9 @@ impl<'a> TypeWalker<'a> {
                     self.value(*cond);
                 }
                 if let Some(step) = step {
-                    self.ty_of(*step);
+                    self.expr(*step);
                 }
                 self.stmt(*body);
-                self.scopes.pop();
             }
             Stmt::Return(Some(e), _) => {
                 self.value(*e);
@@ -161,11 +116,9 @@ impl<'a> TypeWalker<'a> {
                 }
             }
             Stmt::Block(items, _) => {
-                self.scopes.push(Vec::new());
                 for &item in items {
                     self.stmt(item);
                 }
-                self.scopes.pop();
             }
             Stmt::Switch(c, body, _) => {
                 self.value(*c);
@@ -201,7 +154,6 @@ impl<'a> TypeWalker<'a> {
             );
         }
 
-        // The array size is resolved in the scope outside the binding.
         if let Some(size) = d.array_size {
             if d.const_size {
                 match const_eval(self.unit, size) {
@@ -220,7 +172,7 @@ impl<'a> TypeWalker<'a> {
                             format!("in the size of array `{dname}`: {detail}"),
                         )
                     }
-                    // `const_size` was precomputed by the resolver.
+                    // `const_size` is the same §6.6 predicate.
                     Err(ConstStop::NotConst(_)) => {}
                 }
             } else {
@@ -229,38 +181,19 @@ impl<'a> TypeWalker<'a> {
             }
         }
 
-        // §6.7:3 — a same-scope redeclaration with a different type. The
-        // resolver flagged the redeclaration; the previous binding is
-        // still the innermost-scope entry for the name.
-        if d.redeclaration {
-            let prev = self
-                .scopes
-                .last()
-                .and_then(|scope| scope.iter().rev().find(|(n, _)| *n == d.name))
-                .map(|(_, slot)| *slot);
-            if let Some(prev) = prev {
-                if let Some(info) = &self.slots[prev.index()] {
-                    if info.ty != d.ty || info.is_array != d.array_size.is_some() {
-                        self.report(
-                            UbKind::IncompatibleRedeclaration,
-                            d.loc,
-                            format!("`{dname}` redeclared with an incompatible type"),
-                        );
-                    }
-                }
+        // §6.7:3 — a same-scope redeclaration with a different type (or a
+        // different array-ness; array lengths are not compared).
+        if let Some(prev) = d.redeclares {
+            let (old, new) = (self.slot(prev).ty, self.slot(d.slot).ty);
+            let is_array = |t: ValTy| matches!(t, ValTy::Array { .. });
+            if old.decay() != new.decay() || is_array(old) != is_array(new) {
+                self.report(
+                    UbKind::IncompatibleRedeclaration,
+                    d.loc,
+                    format!("`{dname}` redeclared with an incompatible type"),
+                );
             }
         }
-
-        // The binding opens before the initializer (§6.2.1:7).
-        self.scopes
-            .last_mut()
-            .expect("active scope")
-            .push((d.name, d.slot));
-        self.slots[d.slot.index()] = Some(SlotInfo {
-            ty: d.ty.clone(),
-            is_array: d.array_size.is_some(),
-            is_const: d.quals.is_const,
-        });
 
         if let Some(init) = d.init {
             self.value(init);
@@ -274,27 +207,30 @@ impl<'a> TypeWalker<'a> {
 
     // ----- expressions -----
 
-    /// Type of an expression whose *value* is consumed: a `void` result
-    /// is §6.3.2.2:1.
-    fn value(&mut self, e: ExprId) -> Type {
-        let t = self.ty_of(e);
-        if t == Type::Void {
+    /// Check an expression whose *value* is consumed: a `void` result is
+    /// §6.3.2.2:1. Returns the value's (decayed) type, `Unknown` once a
+    /// void use is reported, so one defect yields one finding.
+    fn value(&mut self, e: ExprId) -> ValTy {
+        self.expr(e);
+        let t = self.unit.ty(e).decay();
+        if t == ValTy::Void {
             let loc = self.unit.expr(e).loc;
             self.report(
                 UbKind::VoidValueUsed,
                 loc,
                 "the value of a void expression is used".into(),
             );
-            return Type::Unknown;
+            return ValTy::Unknown;
         }
         t
     }
 
-    fn ty_of(&mut self, e: ExprId) -> Type {
+    /// Check an expression and everything below it.
+    fn expr(&mut self, e: ExprId) {
         let expr = self.unit.expr(e);
         let loc = expr.loc;
         match &expr.kind {
-            ExprKind::IntLit(c) => Type::Scalar(c.ty),
+            ExprKind::IntLit(_) | ExprKind::Slot(_, _) => {}
             ExprKind::SizeofType(ty) => {
                 // §6.5.3.4:1 — sizeof needs a complete object type; bare
                 // `void` is not one.
@@ -304,218 +240,132 @@ impl<'a> TypeWalker<'a> {
                         loc,
                         "`sizeof` applied to the incomplete type `void`".into(),
                     );
-                    return Type::Unknown;
                 }
-                Type::Scalar(SIZE_T)
             }
             ExprKind::SizeofExpr(a) => {
                 // §6.5.3.4:1 — the operand shall not be a function
                 // designator or have an incomplete (void) type. The
                 // operand is unevaluated, but type constraints still
                 // apply to the program text.
-                if let ExprKind::Ident(sym) = self.unit.expr(*a).kind {
-                    if self.is_function(sym) {
-                        let n = self.name(sym);
-                        self.report(
-                            UbKind::SizeofInvalidOperand,
-                            loc,
-                            format!("`sizeof` applied to the function designator `{n}`"),
-                        );
-                        return Type::Unknown;
-                    }
+                if let Some(n) = self.function_designator(*a) {
+                    self.report(
+                        UbKind::SizeofInvalidOperand,
+                        loc,
+                        format!("`sizeof` applied to the function designator `{n}`"),
+                    );
+                    return;
                 }
-                if self.ty_of(*a) == Type::Void {
+                self.expr(*a);
+                if self.unit.ty(*a) == ValTy::Void {
                     self.report(
                         UbKind::SizeofInvalidOperand,
                         loc,
                         "`sizeof` applied to a void expression".into(),
                     );
-                    return Type::Unknown;
                 }
-                Type::Scalar(SIZE_T)
             }
-            ExprKind::Ident(sym) => {
+            ExprKind::Ident(_) => {
                 // The resolver left this unbound: either undeclared
                 // (lazy, the evaluator's business) or a function
                 // designator leaking into value position — the subset
                 // has only object pointers for it to convert to.
-                if self.is_function(*sym) {
-                    let n = self.name(*sym);
+                if let Some(n) = self.function_designator(e) {
                     self.report(
                         UbKind::FunctionObjectPointerCast,
                         loc,
                         format!("function designator `{n}` used as an object value"),
                     );
                 }
-                Type::Unknown
             }
-            ExprKind::Slot(slot, _) => self.slot_type(*slot),
-            ExprKind::Unary(op, a) => {
-                let t = self.value(*a);
-                match (op, t) {
-                    // `!` yields int; `-`/`~` yield the promoted operand
-                    // type (§6.5.3.3).
-                    (UnaryOp::Not, _) => Type::Scalar(IntTy::Int),
-                    (_, Type::Scalar(it)) => Type::Scalar(it.promote()),
-                    _ => Type::Unknown,
-                }
+            ExprKind::Unary(_, a) => {
+                self.value(*a);
             }
-            ExprKind::Binary(op, a, b) => {
-                let ta = self.value(*a);
-                let tb = self.value(*b);
-                binary_type(*op, ta, tb)
-            }
-            ExprKind::LogicalAnd(a, b) | ExprKind::LogicalOr(a, b) => {
+            ExprKind::Binary(_, a, b) | ExprKind::LogicalAnd(a, b) | ExprKind::LogicalOr(a, b) => {
                 self.value(*a);
                 self.value(*b);
-                Type::Scalar(IntTy::Int)
             }
             ExprKind::Conditional(c, t, f) => {
                 self.value(*c);
-                let tt = self.ty_of(*t);
-                let tf = self.ty_of(*f);
-                match (tt, tf) {
-                    _ if tt == tf => tt,
-                    // §6.5.15:5 — both arithmetic: the usual arithmetic
-                    // conversions decide the result type.
-                    (Type::Scalar(x), Type::Scalar(y)) => Type::Scalar(IntTy::usual_arith(x, y)),
-                    _ => Type::Unknown,
-                }
+                self.expr(*t);
+                self.expr(*f);
             }
             ExprKind::Assign(place, _, rhs) => {
-                let tp = self.place(*place, loc);
+                self.place(*place, loc);
                 self.value(*rhs);
-                tp
             }
             ExprKind::PreIncDec(p, _) | ExprKind::PostIncDec(p, _) => self.place(*p, loc),
             ExprKind::Deref(a) => {
                 let t = self.value(*a);
-                self.deref_type(t, loc)
+                self.deref(t, loc);
             }
             ExprKind::AddrOf(a) => {
-                if let ExprKind::Ident(sym) = self.unit.expr(*a).kind {
-                    if self.is_function(sym) {
-                        let n = self.name(sym);
-                        self.report(
-                            UbKind::FunctionObjectPointerCast,
-                            loc,
-                            format!("`&{n}` converts a function pointer to an object pointer"),
-                        );
-                        return Type::Unknown;
-                    }
+                if let Some(n) = self.function_designator(*a) {
+                    self.report(
+                        UbKind::FunctionObjectPointerCast,
+                        loc,
+                        format!("`&{n}` converts a function pointer to an object pointer"),
+                    );
+                    return;
                 }
-                // `&array` has array-pointer type, outside the subset
-                // (the evaluator rejects it); stay agnostic here.
-                if let ExprKind::Slot(slot, _) = self.unit.expr(*a).kind {
-                    if self.slots[slot.index()]
-                        .as_ref()
-                        .is_some_and(|i| i.is_array)
-                    {
-                        return Type::Unknown;
-                    }
-                }
-                match self.ty_of(*a) {
-                    Type::Scalar(it) => Type::Ptr {
-                        depth: 1,
-                        base: Base::Scalar(it),
-                    },
-                    Type::Ptr { depth, base } => Type::Ptr {
-                        depth: depth.saturating_add(1),
-                        base,
-                    },
-                    _ => Type::Unknown,
-                }
+                self.expr(*a);
             }
             ExprKind::Index(base, idx) => {
-                let tb = self.value(*base);
+                let t = self.value(*base);
                 self.value(*idx);
-                self.deref_type(tb, loc)
+                self.deref(t, loc);
             }
             ExprKind::Call(sym, args) => self.call(*sym, args, loc),
             ExprKind::Comma(a, b) => {
-                self.ty_of(*a);
-                self.ty_of(*b)
+                self.expr(*a);
+                self.expr(*b);
             }
-            ExprKind::Cast(ty, a) => {
-                // §6.5.4 — `(void)e` discards any operand; a cast to a
-                // non-void type needs an operand with a *value* (casting
-                // a void expression is the §6.3.2.2:1 use of its
-                // nonexistent value). The result has the named type, so
-                // pointee types propagate through casts and downstream
-                // call/deref checks see `(long *)p` as a `long *`.
-                if *ty == Ty::Void {
-                    self.ty_of(*a);
-                    return Type::Void;
-                }
+            // §6.5.4 — `(void)e` discards any operand; a cast to a
+            // non-void type needs an operand with a *value* (casting a
+            // void expression is the §6.3.2.2:1 use of its nonexistent
+            // value).
+            ExprKind::Cast(Ty::Void, a) => self.expr(*a),
+            ExprKind::Cast(_, a) => {
                 self.value(*a);
-                type_of_ty(ty)
             }
         }
     }
 
     /// An lvalue being stored to: flags writes to `const`-defined
-    /// objects (§6.7.3:6) and types the place.
-    fn place(&mut self, e: ExprId, op_loc: SourceLoc) -> Type {
-        let expr = self.unit.expr(e);
-        match &expr.kind {
-            ExprKind::Slot(slot, sym) => {
-                if self.slots[slot.index()]
-                    .as_ref()
-                    .is_some_and(|i| i.is_const)
-                {
-                    let n = self.name(*sym);
-                    self.report(
-                        UbKind::WriteToConst,
-                        op_loc,
-                        format!("`{n}` is defined with a const-qualified type"),
-                    );
-                }
-                self.slot_type(*slot)
-            }
+    /// objects (§6.7.3:6).
+    fn place(&mut self, e: ExprId, op_loc: SourceLoc) {
+        let target = match self.unit.expr(e).kind {
+            ExprKind::Slot(slot, sym) => Some((slot, sym)),
             // `a[i] = …` on an array defined const.
-            ExprKind::Index(base, _) => {
-                if let ExprKind::Slot(slot, sym) = self.unit.expr(*base).kind {
-                    let info = self.slots[slot.index()].as_ref();
-                    if info.is_some_and(|i| i.is_const && i.is_array) {
-                        let n = self.name(sym);
-                        self.report(
-                            UbKind::WriteToConst,
-                            op_loc,
-                            format!("`{n}` is defined with a const-qualified type"),
-                        );
-                    }
+            ExprKind::Index(base, _) => match self.unit.expr(base).kind {
+                ExprKind::Slot(slot, sym) if matches!(self.slot(slot).ty, ValTy::Array { .. }) => {
+                    Some((slot, sym))
                 }
-                self.ty_of(e)
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some((slot, sym)) = target {
+            if self.slot(slot).is_const {
+                let n = self.name(sym);
+                self.report(
+                    UbKind::WriteToConst,
+                    op_loc,
+                    format!("`{n}` is defined with a const-qualified type"),
+                );
             }
-            _ => self.ty_of(e),
         }
+        self.expr(e);
     }
 
-    fn call(&mut self, sym: Symbol, args: &[ExprId], loc: SourceLoc) -> Type {
+    fn call(&mut self, sym: Symbol, args: &[ExprId], loc: SourceLoc) {
         let name = self.name(sym);
-        let target = self
-            .unit
-            .func_by_symbol
-            .get(sym.index())
-            .copied()
-            .flatten()
-            .map(|i| &self.unit.functions[i as usize]);
-        let Some(func) = target else {
+        let Some(func) = self.unit.function(sym) else {
             // `malloc`/`free` are modeled; anything else unknown is the
             // evaluator's lazy CallNonFunction.
             for &a in args {
                 self.value(a);
             }
-            return match name {
-                // `malloc` returns `void *` (§7.22.3.4): it converts to
-                // (and satisfies) any object-pointer type.
-                "malloc" => Type::Ptr {
-                    depth: 1,
-                    base: Base::Void,
-                },
-                "free" => Type::Void,
-                _ => Type::Unknown,
-            };
+            return;
         };
         // §6.5.2.2:2/:6 — every definition is a visible prototype here,
         // so arity and argument types are translation-time questions.
@@ -535,8 +385,7 @@ impl<'a> TypeWalker<'a> {
             let Some(param) = func.params.get(i) else {
                 continue;
             };
-            let pt = type_of_ty(&param.ty);
-            if !arg_compatible(ta, pt, &self.unit.expr(a).kind) {
+            if !arg_compatible(ta, ValTy::of(&param.ty), &self.unit.expr(a).kind) {
                 let pname = self.name(param.name);
                 self.report(
                     UbKind::CallWrongType,
@@ -548,111 +397,34 @@ impl<'a> TypeWalker<'a> {
                 );
             }
         }
-        if func.returns_void && func.ret_ptr == 0 {
-            Type::Void
-        } else if func.ret_ptr > 0 {
-            Type::Ptr {
-                depth: func.ret_ptr,
-                base: if func.returns_void {
-                    Base::Void
-                } else {
-                    Base::Scalar(func.ret_scalar)
-                },
-            }
-        } else {
-            Type::Scalar(func.ret_scalar)
+    }
+
+    /// §6.3.2.1 / catalog entry 45 — the pointed-to value of a `void *`
+    /// cannot be used.
+    fn deref(&mut self, t: ValTy, loc: SourceLoc) {
+        if t == VOID_PTR {
+            self.report(
+                UbKind::VoidDereference,
+                loc,
+                "dereference of a pointer to void".into(),
+            );
         }
     }
 
-    fn deref_type(&mut self, t: Type, loc: SourceLoc) -> Type {
-        match t {
-            Type::Ptr {
-                depth: 1,
-                base: Base::Void,
-            } => {
-                // §6.3.2.1 / catalog entry 45 — the pointed-to value of
-                // a `void *` cannot be used.
-                self.report(
-                    UbKind::VoidDereference,
-                    loc,
-                    "dereference of a pointer to void".into(),
-                );
-                Type::Unknown
-            }
-            Type::Ptr {
-                depth: 1,
-                base: Base::Scalar(it),
-            } => Type::Scalar(it),
-            Type::Ptr { depth, base } => Type::Ptr {
-                depth: depth - 1,
-                base,
-            },
-            _ => Type::Unknown,
+    /// The spelling of `e` when it names a function (the resolver left
+    /// it an unbound identifier that the function table knows).
+    fn function_designator(&self, e: ExprId) -> Option<&'a str> {
+        match self.unit.expr(e).kind {
+            ExprKind::Ident(sym) if self.unit.function(sym).is_some() => Some(self.name(sym)),
+            _ => None,
         }
     }
-
-    fn slot_type(&self, slot: SlotId) -> Type {
-        match &self.slots[slot.index()] {
-            Some(info) if info.is_array => Type::Ptr {
-                depth: info.ty.ptr_depth().saturating_add(1),
-                base: base_of_ty(&info.ty),
-            },
-            Some(info) => type_of_ty(&info.ty),
-            None => Type::Unknown,
-        }
-    }
-
-    fn is_function(&self, sym: Symbol) -> bool {
-        self.unit
-            .func_by_symbol
-            .get(sym.index())
-            .copied()
-            .flatten()
-            .is_some()
-    }
 }
 
-fn base_of_ty(ty: &Ty) -> Base {
-    match ty.base() {
-        Ty::Int(it) => Base::Scalar(*it),
-        _ => Base::Void,
-    }
-}
-
-fn type_of_ty(ty: &Ty) -> Type {
-    match ty {
-        Ty::Int(it) => Type::Scalar(*it),
-        Ty::Void => Type::Void,
-        Ty::Ptr(_) => Type::Ptr {
-            depth: ty.ptr_depth(),
-            base: base_of_ty(ty),
-        },
-    }
-}
-
-fn binary_type(op: BinOp, ta: Type, tb: Type) -> Type {
-    use BinOp::*;
-    match (ta, tb) {
-        (Type::Scalar(a), Type::Scalar(b)) => match op {
-            // §6.5.8/§6.5.9 — comparisons yield int.
-            Lt | Le | Gt | Ge | Eq | Ne => Type::Scalar(IntTy::Int),
-            // §6.5.7:3 — shifts take the promoted *left* operand's type.
-            Shl | Shr => Type::Scalar(a.promote()),
-            // Everything else goes through the usual arithmetic
-            // conversions.
-            _ => Type::Scalar(IntTy::usual_arith(a, b)),
-        },
-        (p @ Type::Ptr { .. }, Type::Scalar(_)) if matches!(op, Add | Sub) => p,
-        (Type::Scalar(_), p @ Type::Ptr { .. }) if op == Add => p,
-        // Pointer subtraction yields ptrdiff_t — `long` on LP64
-        // (§6.5.6:9); pointer comparisons yield int.
-        (Type::Ptr { .. }, Type::Ptr { .. }) if op == Sub => Type::Scalar(IntTy::Long),
-        (Type::Ptr { .. }, Type::Ptr { .. }) if matches!(op, Lt | Le | Gt | Ge | Eq | Ne) => {
-            Type::Scalar(IntTy::Int)
-        }
-        _ => Type::Unknown,
-    }
-}
+const VOID_PTR: ValTy = ValTy::Ptr {
+    depth: 1,
+    base: Base::Void,
+};
 
 /// Whether an argument of type `ta` may initialize a parameter of type
 /// `pt` (§6.5.2.2:2 via §6.5.16.1): any arithmetic type converts to any
@@ -660,22 +432,24 @@ fn binary_type(op: BinOp, ta: Type, tb: Type) -> Type {
 /// constraint violation), `void *` accepts and provides any object
 /// pointer, the null pointer constant `0` converts to any pointer, and
 /// other pointers must match in depth *and* pointee base type — `long *`
-/// does not initialize `int *`.
-fn arg_compatible(ta: Type, pt: Type, arg: &ExprKind) -> bool {
-    const VOID_PTR: Type = Type::Ptr {
-        depth: 1,
-        base: Base::Void,
-    };
+/// does not initialize `int *`. Types the lattice cannot name stay
+/// silent.
+fn arg_compatible(ta: ValTy, pt: ValTy, arg: &ExprKind) -> bool {
     match (ta, pt) {
-        (Type::Unknown, _) | (_, Type::Unknown) => true,
+        (ValTy::Unknown, _) | (_, ValTy::Unknown) => true,
+        (
+            ValTy::Ptr {
+                base: Base::Unknown,
+                ..
+            },
+            _,
+        ) => true,
         (a, b) if a == b => true,
-        (Type::Scalar(_), Type::Scalar(_)) => true,
-        (Type::Scalar(_), Type::Ptr { .. }) => {
+        (ValTy::Int(_), ValTy::Int(_)) => true,
+        (ValTy::Int(_), ValTy::Ptr { .. }) => {
             matches!(arg, ExprKind::IntLit(c) if c.is_zero())
         }
-        (Type::Ptr { .. }, p) if p == VOID_PTR => true,
-        (p, Type::Ptr { .. }) if p == VOID_PTR => true,
-        (Type::Ptr { depth: a, base: ab }, Type::Ptr { depth: b, base: bb }) => a == b && ab == bb,
+        (ValTy::Ptr { .. }, ValTy::Ptr { .. }) => ta == VOID_PTR || pt == VOID_PTR,
         _ => false,
     }
 }
@@ -902,6 +676,26 @@ mod tests {
         assert_eq!(
             kinds_of("int main(void) { int n = 0; int a[n]; return 0; }"),
             vec![]
+        );
+    }
+
+    #[test]
+    fn sizeof_array_sizes_fold_from_the_type_table() {
+        // `sizeof x - 4` is the constant 0: the static defect, as the
+        // execution phase reports it.
+        assert_eq!(
+            kinds_of("int main(void) { int x = 1; int a[sizeof x - 4]; return x; }"),
+            vec![UbKind::ArraySizeNotPositive]
+        );
+        assert_eq!(
+            kinds_of("int main(void) { long a[3]; int b[sizeof a - 24]; return 0; }"),
+            vec![UbKind::ArraySizeNotPositive]
+        );
+        // `sizeof(void)` has no size, so the array size is not a constant
+        // expression: the operand is checked as an ordinary expression.
+        assert_eq!(
+            kinds_of("int main(void) { int a[sizeof(void)]; return 0; }"),
+            vec![UbKind::SizeofInvalidOperand]
         );
     }
 

@@ -139,7 +139,9 @@ REQUEST (one JSON object per stdin line, or POST /check body):
 HTTP (with --listen): POST /check (request object as body; rendered
     report as response body, verdict/exit/cache in X-Cundef-* headers),
     GET /stats, GET /health, POST /shutdown. Bodies are capped at 64 MiB:
-    a larger Content-Length gets 413 and the connection closes.
+    a larger Content-Length gets 413 and the connection closes. Request
+    and header lines are capped at 8 KiB (414 and 431). A stdin line over
+    64 MiB gets an error reply and is skipped.
 
 SHUTDOWN: {\"cmd\": \"shutdown\"} or EOF on stdin (after every queued
     reply has printed), or POST /shutdown; either ends the daemon in

@@ -10,9 +10,10 @@
 //! the pool reusable for batch slots (index-addressed `Mutex<Option>`)
 //! and serve responses (per-request `mpsc` channels) alike.
 
-use crate::check::{check_file, CheckOptions, Checked};
+use crate::check::{check_file, CheckOptions, Checked, PhaseStats};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -64,7 +65,10 @@ impl WorkerPool {
                             q = shared.available.wait(q).expect("pool queue poisoned");
                         }
                     };
-                    job();
+                    // A panicking job must not take its worker down: its
+                    // captured reply channels drop (the submitter sees a
+                    // disconnect) and the worker serves the next job.
+                    let _ = panic::catch_unwind(AssertUnwindSafe(job));
                 })
             })
             .collect();
@@ -157,17 +161,49 @@ pub fn check_batch(files: &[String], jobs: Option<usize>, opts: &CheckOptions) -
         });
     }
     pool.join();
+    // An empty slot means the check panicked (the pool contained it).
     let results: Vec<Checked> = slots
         .iter()
-        .map(|slot| {
+        .zip(&unique)
+        .map(|(slot, path)| {
             slot.lock()
                 .expect("result slot poisoned")
                 .clone()
-                .expect("every file checked")
+                .unwrap_or_else(|| {
+                    Checked::failed(
+                        path,
+                        PhaseStats::default(),
+                        "internal error: the check panicked".into(),
+                    )
+                })
         })
         .collect();
     slot_of_input
         .into_iter()
         .map(|i| results[i].clone())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = mpsc::channel::<u32>();
+        pool.submit(move || {
+            let _reply = tx;
+            panic!("a check panicked");
+        });
+        // The job's sender dropped while unwinding: a disconnect, not a
+        // hang.
+        assert!(rx.recv().is_err());
+        // The only worker survived and runs the next job.
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || tx.send(7).expect("receiver alive"));
+        assert_eq!(rx.recv(), Ok(7));
+        pool.join();
+    }
 }

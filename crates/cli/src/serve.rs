@@ -18,7 +18,11 @@
 //!   response body (verdict/exit/cache outcome in `X-Cundef-*`
 //!   headers), plus `GET /stats`, `GET /health`, and `POST /shutdown`.
 //!   Connections are keep-alive; each parsed request is dispatched to
-//!   the worker pool. Bodies above [`MAX_BODY`] get `413`.
+//!   the worker pool. Bodies above [`MAX_BODY`] get `413`; request and
+//!   header lines above [`MAX_LINE`] get `414` and `431`.
+//!
+//! No read grows without bound: a stdin line longer than [`MAX_BODY`]
+//! gets an in-order error envelope and is discarded through its newline.
 //!
 //! Both parse a request with [`ServeCore::parse_request`] and hand it to
 //! [`ServeCore::submit`]; either transport's shutdown ends the daemon.
@@ -42,11 +46,11 @@ use cundef_semantics::ast::TranslationUnit;
 use cundef_ub::json::{escaped, Json};
 use cundef_ub::render::{FileResult, Rendered, Verdict};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default bound on each cache (entries, not bytes): generous for a
 /// sweep over a large tree, small enough that a long-lived daemon
@@ -57,6 +61,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// any real translation unit). A larger `Content-Length` gets `413`
 /// before anything is allocated for it.
 pub const MAX_BODY: usize = 64 << 20;
+
+/// The longest HTTP request line or header line the daemon reads
+/// (8 KiB). A longer request line gets `414`, a longer header `431`.
+pub const MAX_LINE: usize = 8 << 10;
 
 /// Per-daemon configuration (from `cundef serve` flags).
 pub struct ServeConfig {
@@ -489,13 +497,25 @@ fn stdin_loop(core: &Arc<ServeCore>, pool: &WorkerPool) {
             }
         })
     };
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
+    loop {
+        let text = match read_line_capped(&mut stdin, &mut line, MAX_BODY) {
+            Err(_) | Ok(LineRead::Eof) => break,
+            Ok(LineRead::TooLong) => {
+                if skip_line(&mut stdin).is_err() {
+                    break;
+                }
+                let msg = format!("request line longer than {MAX_BODY} bytes");
+                let _ = tx.send(Reply::Line(error_jsonl(None, &msg)));
+                continue;
+            }
+            Ok(LineRead::Line) => std::str::from_utf8(&line).map(str::trim),
+        };
+        if text == Ok("") {
             continue;
         }
-        let reply = match Json::parse(&line) {
+        let reply = match text.ok().and_then(Json::parse) {
             None => Reply::Line(error_jsonl(None, "request line is not valid JSON")),
             Some(v) => match v.get("cmd").and_then(Json::as_str) {
                 Some("stats") => {
@@ -539,11 +559,16 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
     loop {
-        let mut request_line = String::new();
-        if reader.read_line(&mut request_line)? == 0 {
-            break; // peer closed
+        match read_line_capped(&mut reader, &mut line, MAX_LINE)? {
+            LineRead::Eof => break, // peer closed
+            LineRead::TooLong => {
+                return refuse(&mut writer, &mut reader, 414, "request line too long\n")
+            }
+            LineRead::Line => {}
         }
+        let request_line = String::from_utf8_lossy(&line);
         let mut parts = request_line.split_whitespace();
         let (method, target) = match (parts.next(), parts.next()) {
             (Some(m), Some(t)) => (m.to_string(), t.to_string()),
@@ -556,10 +581,14 @@ fn handle_connection(
         let mut content_length: Result<usize, (u16, &str)> = Ok(0);
         let mut close = false;
         loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                return Ok(());
+            match read_line_capped(&mut reader, &mut line, MAX_LINE)? {
+                LineRead::Eof => return Ok(()),
+                LineRead::TooLong => {
+                    return refuse(&mut writer, &mut reader, 431, "header line too long\n")
+                }
+                LineRead::Line => {}
             }
+            let header = String::from_utf8_lossy(&line);
             let header = header.trim_end();
             if header.is_empty() {
                 break;
@@ -580,19 +609,9 @@ fn handle_connection(
         }
         let content_length = match content_length {
             Ok(n) => n,
-            Err((status, message)) => {
-                // The body is never read, so the stream cannot be
-                // resynchronized: answer and close.
-                let headers = ["Connection: close".to_string()];
-                write_http(
-                    &mut writer,
-                    status,
-                    "text/plain",
-                    &headers,
-                    message.as_bytes(),
-                )?;
-                break;
-            }
+            // The body is never read, so the stream cannot be
+            // resynchronized: answer and close.
+            Err((status, message)) => return refuse(&mut writer, &mut reader, status, message),
         };
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
@@ -759,6 +778,91 @@ pub fn serve_replay(seed: u64, count: u64) -> bool {
     }
 }
 
+/// What [`read_line_capped`] found.
+enum LineRead {
+    /// End of input before any byte of a line.
+    Eof,
+    /// A line (its `\n` included, unless input ended first).
+    Line,
+    /// The line is longer than the cap; the rest of it is still unread.
+    TooLong,
+}
+
+/// Read one `\n`-terminated line into `buf`, storing at most `max`
+/// bytes before the newline: a line that never ends costs `max` bytes,
+/// not unbounded memory.
+fn read_line_capped(r: &mut impl BufRead, buf: &mut Vec<u8>, max: usize) -> io::Result<LineRead> {
+    buf.clear();
+    loop {
+        let chunk = r.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(if buf.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        if buf.len() + newline.unwrap_or(chunk.len()) > max {
+            return Ok(LineRead::TooLong);
+        }
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        buf.extend_from_slice(&chunk[..take]);
+        r.consume(take);
+        if newline.is_some() {
+            return Ok(LineRead::Line);
+        }
+    }
+}
+
+/// Discard input through the next `\n` (or to end of input) without
+/// storing any of it.
+fn skip_line(r: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = r.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                r.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                r.consume(n);
+            }
+        }
+    }
+}
+
+/// Refuse a request whose remaining bytes will not be read: answer
+/// `status` with `Connection: close`, shut the write side, and discard a
+/// bounded amount of pending input (into a stack buffer) before the
+/// connection drops, so the peer reads the reply instead of a reset.
+fn refuse(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    status: u16,
+    message: &str,
+) -> io::Result<()> {
+    let headers = ["Connection: close".to_string()];
+    write_http(writer, status, "text/plain", &headers, message.as_bytes())?;
+    writer.shutdown(Shutdown::Write)?;
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(200)))?;
+    let mut sink = [0u8; 4096];
+    let mut budget = 16 * MAX_LINE;
+    while budget > 0 {
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+    Ok(())
+}
+
 /// Write one HTTP response.
 fn write_http(
     w: &mut TcpStream,
@@ -772,6 +876,8 @@ fn write_http(
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let mut head = format!(

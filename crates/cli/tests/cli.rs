@@ -401,6 +401,27 @@ fn files_without_main_are_a_note_not_an_error() {
 }
 
 #[test]
+fn constant_sizeof_array_size_gets_one_verdict_in_both_phases() {
+    // `sizeof x` is an integer constant expression (§6.5.3.4:2), so the
+    // size `4 - 4` is the static defect in both phases, on the same line.
+    let path = std::env::temp_dir().join(format!("cundef_sizeof_size_{}.c", std::process::id()));
+    std::fs::write(
+        &path,
+        "int main(void) {\n  int x = 1;\n  int a[sizeof x - 4];\n  return 0;\n}\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    for phase in ["translation", "execution"] {
+        let out = cundef(&["--phase", phase, path]);
+        assert_eq!(out.status.code(), Some(1), "{phase}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("Error: 00070"), "{phase}: {stdout}");
+        assert!(stdout.contains("Line: 3"), "{phase}: {stdout}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn phase_option_rejects_unknown_values() {
     let out = cundef(&["--phase", "bogus", "examples/defined.c"]);
     assert_eq!(out.status.code(), Some(2));

@@ -376,6 +376,26 @@ fn serve_error_envelopes() {
     assert_eq!(str_field(&responses[3], "verdict"), "defined");
 }
 
+/// A stdin line longer than the 64 MiB request cap gets an in-order
+/// error envelope; the daemon discards it through its newline and
+/// answers the next request.
+#[test]
+fn serve_discards_overlong_lines_and_keeps_serving() {
+    const MAX_BODY: usize = 64 << 20;
+    let mut input = String::with_capacity(MAX_BODY + 256);
+    input.push_str("{\"path\": \"");
+    input.extend(std::iter::repeat_n('x', MAX_BODY));
+    input.push_str("\", \"id\": 1}\n");
+    input.push_str("{\"path\": \"examples/defined.c\", \"id\": 2}\n{\"cmd\": \"shutdown\"}\n");
+    let responses = serve(&["--jobs", "1"], &input);
+    assert_eq!(responses.len(), 3);
+    assert_eq!(str_field(&responses[0], "type"), "error");
+    assert!(str_field(&responses[0], "message").contains("longer than"));
+    assert_eq!(str_field(&responses[1], "type"), "response");
+    assert_eq!(num_field(&responses[1], "id"), 2);
+    assert_eq!(str_field(&responses[2], "type"), "shutdown");
+}
+
 /// Responses come back in request order even when many requests are in
 /// flight across parallel workers.
 #[test]
@@ -606,6 +626,29 @@ fn http_refuses_oversized_and_malformed_bodies() {
 
 /// With both transports on, `POST /shutdown` ends the whole daemon even
 /// while stdin stays open.
+#[test]
+fn http_refuses_overlong_request_and_header_lines() {
+    let mut daemon = Daemon::spawn(&["--jobs", "1"]);
+    let long = "a".repeat(9 << 10);
+    let uri = daemon.raw(&format!("GET /{long} HTTP/1.1\r\n\r\n"));
+    assert_eq!(uri.status, 414);
+    assert_eq!(uri.header("connection"), Some("close"));
+    // A request line that never ends is refused just the same.
+    let endless = daemon.raw(&format!("GET /{}", "a".repeat(100_000)));
+    assert_eq!(endless.status, 414);
+    let header = daemon.raw(&format!("GET /health HTTP/1.1\r\nX-Big: {long}\r\n\r\n"));
+    assert_eq!(header.status, 431);
+    assert_eq!(header.header("connection"), Some("close"));
+    // Lines just under the cap are served.
+    let fits = daemon.raw(&format!(
+        "GET /health HTTP/1.1\r\nX-Big: {}\r\nConnection: close\r\n\r\n",
+        "b".repeat((8 << 10) - 16)
+    ));
+    assert_eq!(fits.status, 200);
+    assert_eq!(daemon.http("POST", "/shutdown", "").status, 200);
+    assert_eq!(daemon.wait().0, Some(0));
+}
+
 #[test]
 fn http_shutdown_ends_stdin_mode_too() {
     let mut daemon = Daemon::spawn(&["--stdin", "--jobs", "1"]);

@@ -12,9 +12,10 @@
 //! unit therefore performs O(1) large allocations instead of one per
 //! node, and walking the tree touches contiguous memory.
 
-use crate::ctype::{CInt, IntTy};
+use crate::ctype::{CInt, IntTy, PTR_BYTES};
 use crate::intern::{Interner, Symbol};
 use cundef_ub::SourceLoc;
+use std::num::NonZeroU32;
 
 /// Index of an [`Expr`] in its unit's expression arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,9 +30,11 @@ pub struct StmtId(pub(crate) u32);
 ///
 /// Arrays are not first-class types here; they exist only in declarations
 /// (see [`Decl::array_size`]) and decay to pointers everywhere else,
-/// mirroring C's usage. `void` is an incomplete type: it is legal behind a
-/// pointer (`void *p`) and as a return/parameter-list marker, and the
-/// translation-phase analyzer rejects objects declared with it.
+/// mirroring C's usage (the value-type lattice [`ValTy`] keeps the
+/// undecayed array that `sizeof` observes). `void` is an incomplete
+/// type: it is legal behind a pointer (`void *p`) and as a
+/// return/parameter-list marker, and the translation-phase analyzer
+/// rejects objects declared with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ty {
     /// An integer type of the [`IntTy`] lattice (`_Bool`, `char`,
@@ -69,6 +72,119 @@ impl Ty {
         match self.base() {
             Ty::Int(it) => Some(*it),
             _ => None,
+        }
+    }
+}
+
+/// What sits at the bottom of a pointer chain in a [`ValTy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Base {
+    /// `void` under the stars (`void *` is `Ptr { depth: 1, base: Void }`).
+    Void,
+    /// An integer type of the LP64 lattice.
+    Int(IntTy),
+    /// A pointee the lattice cannot name: `&a` of an array `a` (a
+    /// pointer to an array), `&` of an untyped operand, or the merge of
+    /// two different pointer types. Such a pointer still has a size, but
+    /// nothing is known about what it points to.
+    Unknown,
+}
+
+/// The static type of an expression's value, recorded once per
+/// expression by the resolver and read through [`TranslationUnit::ty`].
+///
+/// A term's type is fixed by its syntax even when evaluating it would be
+/// undefined or it is never evaluated (the operand of `sizeof`,
+/// §6.5.3.4:2, or the unchosen arm of `?:`, §6.5.15:5), so every phase —
+/// constant folding, both execution engines, the compiler and the
+/// translation-phase analyzer — reads the same answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValTy {
+    /// An integer type of the LP64 lattice.
+    Int(IntTy),
+    /// A pointer of the given depth over the given base.
+    Ptr {
+        /// Number of `*`s (at least 1).
+        depth: u8,
+        /// The type at the bottom of the chain.
+        base: Base,
+    },
+    /// An array designator before its decay (§6.3.2.1:3), which only the
+    /// operand of `sizeof` observes. The element type is `depth` pointers
+    /// over `base` (depth 0: the base itself).
+    Array {
+        /// Pointer depth of the element type.
+        depth: u8,
+        /// The element type's base.
+        base: Base,
+        /// Element count when the size is an integer constant expression
+        /// with a positive value below 2^32; `None` for a variable length
+        /// array, whose length only the live object knows, and for an
+        /// invalid or oversized constant (no such object is ever created:
+        /// it stops at its declaration).
+        len: Option<NonZeroU32>,
+    },
+    /// The (nonexistent) value of a `void` expression.
+    Void,
+    /// Outside the typed fragment: undeclared names, constraint
+    /// violations, operands the lattice cannot express.
+    Unknown,
+}
+
+impl ValTy {
+    /// The value type of a declared type.
+    pub fn of(ty: &Ty) -> ValTy {
+        match ty {
+            Ty::Int(t) => ValTy::Int(*t),
+            Ty::Void => ValTy::Void,
+            Ty::Ptr(_) => ValTy::Ptr {
+                depth: ty.ptr_depth(),
+                base: match ty.base() {
+                    Ty::Int(t) => Base::Int(*t),
+                    _ => Base::Void,
+                },
+            },
+        }
+    }
+
+    /// An array of `elem` with `len` elements (see [`ValTy::Array`]).
+    pub fn array(elem: &Ty, len: Option<NonZeroU32>) -> ValTy {
+        let (depth, base) = match ValTy::of(elem) {
+            ValTy::Ptr { depth, base } => (depth, base),
+            ValTy::Int(t) => (0, Base::Int(t)),
+            _ => (0, Base::Void),
+        };
+        ValTy::Array { depth, base, len }
+    }
+
+    /// Array-to-pointer decay (§6.3.2.1:3): what the value is in every
+    /// context except as the operand of `sizeof` or `&`.
+    pub fn decay(self) -> ValTy {
+        match self {
+            ValTy::Array { depth, base, .. } => ValTy::Ptr {
+                depth: depth.saturating_add(1),
+                base,
+            },
+            other => other,
+        }
+    }
+
+    /// `sizeof` of this type in bytes on the LP64 target; `None` when it
+    /// is not a translation-time constant: `void`, an unknown type, or an
+    /// array without a constant length.
+    pub fn size_bytes(self) -> Option<u64> {
+        match self {
+            ValTy::Int(t) => Some(t.size_bytes()),
+            ValTy::Ptr { .. } => Some(PTR_BYTES),
+            ValTy::Array { depth, base, len } => {
+                let elem = match (depth, base) {
+                    (0, Base::Int(t)) => t.size_bytes(),
+                    (0, _) => return None,
+                    _ => PTR_BYTES,
+                };
+                Some(u64::from(len?.get()) * elem)
+            }
+            ValTy::Void | ValTy::Unknown => None,
         }
     }
 }
@@ -207,8 +323,9 @@ pub enum ExprKind {
     /// (`unsigned long` on LP64).
     SizeofType(Ty),
     /// `sizeof unary-expression` (§6.5.3.4). The operand is *not*
-    /// evaluated (the subset has no VLA-typed expressions to except);
-    /// only its type is computed.
+    /// evaluated: its size comes from the operand's [`ValTy`], except
+    /// that a variable length array's length is read off the live
+    /// object (evaluating a bare designator has no effect).
     SizeofExpr(ExprId),
     /// A cast `( type-name ) expr` (§6.5.4): conversion to an integer
     /// type, reinterpretation of a pointer's pointee type (the
@@ -229,13 +346,6 @@ impl SlotId {
     /// The slot index within its function's frame.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Build a slot id from a frame index. Parameters occupy slots
-    /// `0..n_params` in declaration order; external passes (like the
-    /// static analyzer) use this to mirror the resolver's layout.
-    pub fn from_index(i: usize) -> SlotId {
-        SlotId(u32::try_from(i).expect("fewer than 2^32 slots"))
     }
 }
 
@@ -271,10 +381,21 @@ pub struct Decl {
     /// the non-positive-size defect without re-walking the tree.
     pub const_size: bool,
     /// Set by the resolver when this declaration redeclares a name
-    /// already declared in the same scope; executing it is reported as a
-    /// checker limitation (the subset has no linkage rules to make
-    /// redeclaration meaningful).
-    pub redeclaration: bool,
+    /// already declared in the same scope: the slot of the previous
+    /// declaration. Executing it is reported as a checker limitation
+    /// (the subset has no linkage rules to make redeclaration
+    /// meaningful).
+    pub redeclares: Option<SlotId>,
+}
+
+/// What a frame slot was declared as, recorded by the resolver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotTy {
+    /// The declared type: a scalar, pointer or `void` object, or an
+    /// undecayed [`ValTy::Array`].
+    pub ty: ValTy,
+    /// Declared with a `const`-qualified type (§6.7.3:6).
+    pub is_const: bool,
 }
 
 /// A statement in the subset of C11 §6.8.
@@ -357,9 +478,10 @@ pub struct Function {
     pub body: Vec<StmtId>,
     /// Position of the function name in its definition.
     pub loc: SourceLoc,
-    /// Total number of frame slots (parameters + declarations), filled
-    /// by the resolution pass.
-    pub n_slots: u32,
+    /// The declared type of every frame slot (parameters first, then
+    /// declarations), filled by the resolution pass; its length is the
+    /// frame size.
+    pub slots: Vec<SlotTy>,
     /// Labels defined in the body (`name: …`), in source order, collected
     /// by the resolution pass for the translation-phase analyzer.
     pub labels: Vec<(Symbol, SourceLoc)>,
@@ -383,9 +505,38 @@ pub struct TranslationUnit {
     /// `symbol index -> function index`, built by the resolution pass;
     /// makes call-target lookup O(1) instead of a name scan per call.
     pub func_by_symbol: Vec<Option<u32>>,
+    /// The value type of every expression, parallel to `exprs`; filled
+    /// by the resolution pass and read through [`TranslationUnit::ty`].
+    pub types: Vec<ValTy>,
+}
+
+impl Function {
+    /// The value type of a call to this function (§6.5.2.2:5).
+    pub fn ret_ty(&self) -> ValTy {
+        let base = if self.returns_void {
+            Base::Void
+        } else {
+            Base::Int(self.ret_scalar)
+        };
+        match (self.ret_ptr, base) {
+            (0, Base::Int(t)) => ValTy::Int(t),
+            (0, _) => ValTy::Void,
+            (depth, base) => ValTy::Ptr { depth, base },
+        }
+    }
 }
 
 impl TranslationUnit {
+    /// The static type of an expression's value, as the resolver recorded
+    /// it; [`ValTy::Unknown`] for a unit that was never resolved.
+    #[inline]
+    pub fn ty(&self, id: ExprId) -> ValTy {
+        self.types
+            .get(id.0 as usize)
+            .copied()
+            .unwrap_or(ValTy::Unknown)
+    }
+
     /// The expression behind an id.
     #[inline]
     pub fn expr(&self, id: ExprId) -> &Expr {

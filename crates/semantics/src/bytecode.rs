@@ -110,10 +110,10 @@ pub(crate) enum Op {
     OrTrue(Pc),
     /// Pop; push `1` if truthy else `0` (`&&`/`||` right operand).
     ToBool01,
-    /// Conditional-operator merge: convert the branch value to the
-    /// common type of both arms (§6.5.15:5). The operand is the
-    /// `Conditional` node itself.
-    CondCommon(ExprId),
+    /// Conditional-operator merge: convert an integer branch value to
+    /// the common type of both arms (§6.5.15:5), precomputed from the
+    /// type table. Emitted only when that type is an integer type.
+    CondCommon(IntTy),
     /// Fused promoted-compare-and-branch, slot ⊗ slot (loop condition):
     /// sequence boundary, compare via `fused[i]`, jump if false.
     BrCmpSS(u32, Pc),
@@ -163,8 +163,9 @@ pub(crate) enum Op {
     CastPtr(PointeeTy),
     /// Pop; `(void)e` yields a value that must not be used (§6.3.2.2:2).
     CastVoid,
-    /// `sizeof e` where the operand's type depends on runtime state
-    /// (arrays, VLAs): compute it via the no-eval type walk.
+    /// `sizeof e` whose operand the type table cannot size at
+    /// translation time: a variable length array (its live object's
+    /// length), or an operand outside the modeled semantics.
     SizeofExpr(ExprId),
 
     // ----- calls -----

@@ -17,8 +17,8 @@
 //!   under a call argument — falls back to `Op::EvalFull`, where the
 //!   tree-walker's byte-range footprint does the § 6.5:2 bookkeeping
 //!   exactly as before.
-//! - **Slot kinds** (`SlotKind`): a frame slot is bound 1:1 to one
-//!   declaration, so its object's element type is static. Scalar
+//! - **Slot types** (the resolver's slot table): a frame slot is bound
+//!   1:1 to one declaration, so its object's element type is static. Scalar
 //!   non-`_Bool` slots get single-word fused loads/stores whose guards
 //!   (bound, alive, fully-initialized, in-range) fail over to the
 //!   generic path *before* any observable action.
@@ -29,7 +29,7 @@
 //!   tree-walker under either engine.
 
 use crate::ast::{
-    BinOp, Decl, ExprId, ExprKind, Function, Stmt, StmtId, TranslationUnit, Ty, UnaryOp,
+    BinOp, Decl, ExprId, ExprKind, Function, Stmt, StmtId, TranslationUnit, Ty, UnaryOp, ValTy,
 };
 use crate::bytecode::{
     CodeUnit, ExecInfo, FnCode, Fused2, FusedBin, FusedIncDec, FusedStore, FusedSweep, Op, Pc,
@@ -68,20 +68,6 @@ pub(crate) fn compile(unit: &TranslationUnit) -> CodeUnit {
         code.funcs.push(fc);
     }
     code
-}
-
-/// What the compiler statically knows about the object a slot binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotKind {
-    /// A scalar object of this integer type.
-    Scalar(IntTy),
-    /// A pointer object.
-    PtrObj,
-    /// An array object (decays on load; not a modifiable lvalue).
-    Array,
-    /// Statically unknowable (e.g. a `void` declaration, which can never
-    /// execute without stopping) — always handled by fallback.
-    Unknown,
 }
 
 /// Shape of the value just compiled, for superinstruction fusion.
@@ -137,7 +123,6 @@ struct FnCompiler<'a> {
     unit: &'a TranslationUnit,
     func: &'a Function,
     code: &'a mut CodeUnit,
-    slot_kinds: Vec<SlotKind>,
     slot_syms: Vec<Symbol>,
     /// Scope ids entered since the frame base, outermost first.
     path: Vec<u32>,
@@ -165,25 +150,16 @@ impl<'a> FnCompiler<'a> {
         idx: u32,
         code: &'a mut CodeUnit,
     ) -> FnCode {
-        let mut slot_kinds = vec![SlotKind::Unknown; func.n_slots as usize];
-        let mut slot_syms = vec![func.name; func.n_slots as usize];
+        let mut slot_syms = vec![func.name; func.slots.len()];
         for (i, p) in func.params.iter().enumerate() {
-            if i < slot_kinds.len() {
-                slot_kinds[i] = kind_of_ty(&p.ty);
+            if i < slot_syms.len() {
                 slot_syms[i] = p.name;
             }
         }
         let mut has_goto = false;
         let mut has_switch = false;
         for &s in &func.body {
-            scan_stmt(
-                unit,
-                s,
-                &mut slot_kinds,
-                &mut slot_syms,
-                &mut has_goto,
-                &mut has_switch,
-            );
+            scan_stmt(unit, s, &mut slot_syms, &mut has_goto, &mut has_switch);
         }
         if has_goto && has_switch {
             // A goto could target a label under a switch (or originate
@@ -202,11 +178,10 @@ impl<'a> FnCompiler<'a> {
                 .copied()
                 .flatten()
                 == Some(idx);
-            let scalar_params = func
-                .params
+            let scalar_params = func.slots[..func.params.len()]
                 .iter()
-                .all(|p| matches!(kind_of_ty(&p.ty), SlotKind::Scalar(t) if t != IntTy::Bool));
-            let scalar_ret = !func.returns_void && func.ret_ptr == 0;
+                .all(|p| matches!(p.ty, ValTy::Int(t) if t != IntTy::Bool));
+            let scalar_ret = matches!(func.ret_ty(), ValTy::Int(_));
             (resolves_here && scalar_params && scalar_ret && !body_addresses_param(unit, func))
                 .then_some(idx)
         };
@@ -214,7 +189,6 @@ impl<'a> FnCompiler<'a> {
             unit,
             func,
             code,
-            slot_kinds,
             slot_syms: slot_syms.clone(),
             path: Vec::new(),
             next_scope: 0,
@@ -288,24 +262,18 @@ impl<'a> FnCompiler<'a> {
         (self.code.fails.len() - 1) as u32
     }
 
-    fn slot_kind(&self, slot: u32) -> SlotKind {
-        self.slot_kinds
+    /// What loads and stores can assume about a slot's object: its
+    /// declared type from the slot table (a slot is bound 1:1 to one
+    /// declaration, so its object's element type is static).
+    fn slot_ty(&self, slot: u32) -> ValTy {
+        self.func
+            .slots
             .get(slot as usize)
-            .copied()
-            .unwrap_or(SlotKind::Unknown)
+            .map_or(ValTy::Unknown, |s| s.ty)
     }
 
     fn expr_loc(&self, e: ExprId) -> SourceLoc {
         self.unit.expr(e).loc
-    }
-}
-
-/// Map a declared type to what loads/stores can assume about it.
-fn kind_of_ty(ty: &Ty) -> SlotKind {
-    match ty {
-        Ty::Int(t) => SlotKind::Scalar(*t),
-        Ty::Ptr(_) => SlotKind::PtrObj,
-        Ty::Void => SlotKind::Unknown,
     }
 }
 
@@ -396,53 +364,46 @@ fn body_addresses_param(unit: &TranslationUnit, func: &Function) -> bool {
     false
 }
 
-/// Prepass: slot kinds and spellings from every declaration, plus the
+/// Prepass: slot spellings from every declaration, plus the
 /// goto/switch census that decides `tree_only`.
 fn scan_stmt(
     unit: &TranslationUnit,
     s: StmtId,
-    kinds: &mut [SlotKind],
     syms: &mut [Symbol],
     has_goto: &mut bool,
     has_switch: &mut bool,
 ) {
     match unit.stmt(s) {
         Stmt::Decl(d) => {
-            let i = d.slot.index();
-            if i < kinds.len() {
-                kinds[i] = if d.array_size.is_some() || d.array_init.is_some() {
-                    SlotKind::Array
-                } else {
-                    kind_of_ty(&d.ty)
-                };
-                syms[i] = d.name;
+            if let Some(sym) = syms.get_mut(d.slot.index()) {
+                *sym = d.name;
             }
         }
         Stmt::Goto(_, _) => *has_goto = true,
         Stmt::Switch(_, body, _) => {
             *has_switch = true;
-            scan_stmt(unit, *body, kinds, syms, has_goto, has_switch);
+            scan_stmt(unit, *body, syms, has_goto, has_switch);
         }
         Stmt::If(_, t, e) => {
-            scan_stmt(unit, *t, kinds, syms, has_goto, has_switch);
+            scan_stmt(unit, *t, syms, has_goto, has_switch);
             if let Some(e) = e {
-                scan_stmt(unit, *e, kinds, syms, has_goto, has_switch);
+                scan_stmt(unit, *e, syms, has_goto, has_switch);
             }
         }
-        Stmt::While(_, body) => scan_stmt(unit, *body, kinds, syms, has_goto, has_switch),
+        Stmt::While(_, body) => scan_stmt(unit, *body, syms, has_goto, has_switch),
         Stmt::For(init, _, _, body) => {
             if let Some(i) = init {
-                scan_stmt(unit, *i, kinds, syms, has_goto, has_switch);
+                scan_stmt(unit, *i, syms, has_goto, has_switch);
             }
-            scan_stmt(unit, *body, kinds, syms, has_goto, has_switch);
+            scan_stmt(unit, *body, syms, has_goto, has_switch);
         }
         Stmt::Block(items, _) => {
             for &i in items {
-                scan_stmt(unit, i, kinds, syms, has_goto, has_switch);
+                scan_stmt(unit, i, syms, has_goto, has_switch);
             }
         }
         Stmt::Case(_, inner, _) | Stmt::Default(inner, _) | Stmt::Label(_, inner, _) => {
-            scan_stmt(unit, *inner, kinds, syms, has_goto, has_switch)
+            scan_stmt(unit, *inner, syms, has_goto, has_switch)
         }
         Stmt::Expr(_)
         | Stmt::Return(_, _)
@@ -492,67 +453,6 @@ pub(crate) fn elidable(unit: &TranslationUnit, e: ExprId) -> bool {
     }
 }
 
-/// The static type of `e`'s value, when derivable without object state —
-/// used for identity-conversion elision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StTy {
-    Int(IntTy),
-    Ptr,
-}
-
-impl<'a> FnCompiler<'a> {
-    fn static_ty(&self, e: ExprId) -> Option<StTy> {
-        match &self.unit.expr(e).kind {
-            ExprKind::IntLit(c) => Some(StTy::Int(c.ty)),
-            ExprKind::Slot(slot, _) => match self.slot_kind(slot.0) {
-                SlotKind::Scalar(t) => Some(StTy::Int(t)),
-                SlotKind::PtrObj | SlotKind::Array => Some(StTy::Ptr),
-                SlotKind::Unknown => None,
-            },
-            ExprKind::Unary(UnaryOp::Not, _) => Some(StTy::Int(IntTy::Int)),
-            ExprKind::Unary(_, a) => match self.static_ty(*a)? {
-                StTy::Int(t) => Some(StTy::Int(t.promote())),
-                StTy::Ptr => None,
-            },
-            ExprKind::Binary(op, a, b) => match op {
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
-                    Some(StTy::Int(IntTy::Int))
-                }
-                BinOp::Shl | BinOp::Shr => match self.static_ty(*a)? {
-                    StTy::Int(t) => Some(StTy::Int(t.promote())),
-                    StTy::Ptr => None,
-                },
-                _ => match (self.static_ty(*a)?, self.static_ty(*b)?) {
-                    (StTy::Int(x), StTy::Int(y)) => Some(StTy::Int(IntTy::usual_arith(x, y))),
-                    _ => None,
-                },
-            },
-            ExprKind::LogicalAnd(..) | ExprKind::LogicalOr(..) => Some(StTy::Int(IntTy::Int)),
-            ExprKind::Conditional(_, t, f) => match (self.static_ty(*t)?, self.static_ty(*f)?) {
-                (StTy::Int(x), StTy::Int(y)) => Some(StTy::Int(IntTy::usual_arith(x, y))),
-                _ => None,
-            },
-            ExprKind::Comma(_, r) => self.static_ty(*r),
-            ExprKind::Cast(ty, _) => match ty {
-                Ty::Int(t) => Some(StTy::Int(*t)),
-                Ty::Ptr(_) => Some(StTy::Ptr),
-                Ty::Void => None,
-            },
-            ExprKind::AddrOf(_) => Some(StTy::Ptr),
-            ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => Some(StTy::Int(SIZE_T)),
-            ExprKind::Call(name, _) => {
-                let f = self.unit.function(*name)?;
-                if f.returns_void || f.ret_ptr > 0 {
-                    None
-                } else {
-                    Some(StTy::Int(f.ret_scalar))
-                }
-            }
-            _ => None,
-        }
-    }
-}
-
 // ----- fused byte sweeps -----
 
 /// An AST-matched byte-sweep candidate, pending op-range verification.
@@ -588,12 +488,12 @@ impl<'a> FnCompiler<'a> {
             || d.array_init.is_some()
             || d.init.is_none()
             || d.quals.is_const
-            || d.redeclaration
+            || d.redeclares.is_some()
         {
             return None;
         }
         let k = d.slot.0;
-        if self.slot_kind(k) != SlotKind::Scalar(IntTy::Int) {
+        if self.slot_ty(k) != ValTy::Int(IntTy::Int) {
             return None;
         }
         // cond: `k < C`
@@ -663,7 +563,7 @@ impl<'a> FnCompiler<'a> {
         let ExprKind::Slot(is, _) = &self.unit.expr(*i).kind else {
             return None;
         };
-        (self.slot_kind(bs.0) == SlotKind::PtrObj).then_some((bs.0, is.0))
+        matches!(self.slot_ty(bs.0), ValTy::Ptr { .. }).then_some((bs.0, is.0))
     }
 
     /// Patch the placeholder at `at` into an [`Op::ByteSweep`] — but
@@ -1019,7 +919,7 @@ impl<'a> FnCompiler<'a> {
 
     /// Compile a declaration statement.
     fn decl(&mut self, s: StmtId, d: &Decl) {
-        let full = d.redeclaration
+        let full = d.redeclares.is_some()
             || matches!(d.ty, Ty::Void)
             || d.array_size.is_some()
             || d.array_init.is_some();
@@ -1073,8 +973,8 @@ impl<'a> FnCompiler<'a> {
                 match &self.unit.expr(*place).kind {
                     ExprKind::Slot(slot, _) => {
                         let place_loc = self.expr_loc(*place);
-                        match self.slot_kind(slot.0) {
-                            SlotKind::Scalar(t) => {
+                        match self.slot_ty(slot.0) {
+                            ValTy::Int(t) => {
                                 self.emit(Op::BindCheck(slot.0), place_loc);
                                 self.expr(*rhs)?;
                                 let fast = match op {
@@ -1092,7 +992,7 @@ impl<'a> FnCompiler<'a> {
                                 });
                                 self.emit(Op::AssignSlotPop(i), loc);
                             }
-                            SlotKind::PtrObj => {
+                            ValTy::Ptr { .. } => {
                                 self.emit(Op::BindCheck(slot.0), place_loc);
                                 self.expr(*rhs)?;
                                 let i = self.code.stores.len() as u32;
@@ -1103,7 +1003,7 @@ impl<'a> FnCompiler<'a> {
                                 });
                                 self.emit(Op::AssignSlotPop(i), loc);
                             }
-                            SlotKind::Array => {
+                            ValTy::Array { .. } => {
                                 // §6.3.2.1:1 — rejected after the place
                                 // evaluates, before the rhs would.
                                 self.emit(Op::BindCheck(slot.0), place_loc);
@@ -1114,7 +1014,7 @@ impl<'a> FnCompiler<'a> {
                                 let m = self.fail_msg(msg);
                                 self.emit(Op::FailUnsupported(m), loc);
                             }
-                            SlotKind::Unknown => return Err(Bail),
+                            ValTy::Void | ValTy::Unknown => return Err(Bail),
                         }
                     }
                     ExprKind::Deref(x) => {
@@ -1147,8 +1047,8 @@ impl<'a> FnCompiler<'a> {
                 match &self.unit.expr(*place).kind {
                     ExprKind::Slot(slot, _) => {
                         let place_loc = self.expr_loc(*place);
-                        match self.slot_kind(slot.0) {
-                            SlotKind::Scalar(t) => {
+                        match self.slot_ty(slot.0) {
+                            ValTy::Int(t) => {
                                 let i = self.code.incdecs.len() as u32;
                                 self.code.incdecs.push(FusedIncDec {
                                     slot: slot.0,
@@ -1158,7 +1058,7 @@ impl<'a> FnCompiler<'a> {
                                 });
                                 self.emit(Op::IncDecSlotStmt(i), loc);
                             }
-                            SlotKind::PtrObj => {
+                            ValTy::Ptr { .. } => {
                                 let i = self.code.incdecs.len() as u32;
                                 self.code.incdecs.push(FusedIncDec {
                                     slot: slot.0,
@@ -1168,7 +1068,7 @@ impl<'a> FnCompiler<'a> {
                                 });
                                 self.emit(Op::IncDecSlotStmt(i), loc);
                             }
-                            SlotKind::Array => {
+                            ValTy::Array { .. } => {
                                 self.emit(Op::BindCheck(slot.0), place_loc);
                                 let msg = format!(
                                     "array `{}` is not a modifiable lvalue",
@@ -1177,7 +1077,7 @@ impl<'a> FnCompiler<'a> {
                                 let m = self.fail_msg(msg);
                                 self.emit(Op::FailUnsupported(m), loc);
                             }
-                            SlotKind::Unknown => return Err(Bail),
+                            ValTy::Void | ValTy::Unknown => return Err(Bail),
                         }
                     }
                     ExprKind::Deref(x) => {
@@ -1226,7 +1126,7 @@ impl<'a> FnCompiler<'a> {
     /// any other base evaluates and decays.
     fn index_base(&mut self, b: ExprId, as_ptr_loc: SourceLoc) -> Result<(), Bail> {
         if let ExprKind::Slot(slot, _) = &self.unit.expr(b).kind {
-            if matches!(self.slot_kind(slot.0), SlotKind::Array) {
+            if matches!(self.slot_ty(slot.0), ValTy::Array { .. }) {
                 self.emit(Op::SlotPlace(slot.0), self.expr_loc(b));
                 return Ok(());
             }
@@ -1351,10 +1251,10 @@ impl<'a> FnCompiler<'a> {
                 self.emit(Op::FailUnsupported(m), loc);
                 Ok(Shape::Other)
             }
-            ExprKind::Slot(slot, _) => match self.slot_kind(slot.0) {
+            ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
                 // `_Bool` reads can trap (§6.2.6.1:5); they stay on the
                 // generic path, which reports the representation.
-                SlotKind::Scalar(t) if t != IntTy::Bool => {
+                ValTy::Int(t) if t != IntTy::Bool => {
                     self.emit(Op::LoadSlotFast(slot.0, t), loc);
                     Ok(Shape::SlotFast(slot.0, t, loc))
                 }
@@ -1557,7 +1457,9 @@ impl<'a> FnCompiler<'a> {
                     other => unreachable!("patching a non-jump op {other:?}"),
                 }
                 // §6.5.15:5 common-type conversion of whichever branch ran.
-                self.emit(Op::CondCommon(e), loc);
+                if let ValTy::Int(common) = self.unit.ty(e) {
+                    self.emit(Op::CondCommon(common), loc);
+                }
                 Ok(Shape::Other)
             }
             ExprKind::Comma(l, r) => {
@@ -1591,7 +1493,7 @@ impl<'a> FnCompiler<'a> {
                 Ok(Shape::Other)
             }
             ExprKind::Call(name, args) => self.call_value(*name, args, loc),
-            ExprKind::SizeofType(ty) => match consteval::size_of_ty(ty) {
+            ExprKind::SizeofType(ty) => match ValTy::of(ty).size_bytes() {
                 Some(n) => {
                     let i = self.pool(CInt::new(n as i128, SIZE_T));
                     self.emit(Op::Const(i), loc);
@@ -1603,12 +1505,19 @@ impl<'a> FnCompiler<'a> {
                     Ok(Shape::Other)
                 }
             },
-            // Not foldable: the operand's sizeof type can depend on
-            // object state (unbound slots stop), so it stays a runtime op.
-            ExprKind::SizeofExpr(inner) => {
-                self.emit(Op::SizeofExpr(*inner), loc);
-                Ok(Shape::Other)
-            }
+            // The type table sizes every operand but a VLA (whose length
+            // is the live object's) and untyped ones (which stop).
+            ExprKind::SizeofExpr(inner) => match self.unit.ty(*inner).size_bytes() {
+                Some(n) => {
+                    let i = self.pool(CInt::new(n as i128, SIZE_T));
+                    self.emit(Op::Const(i), loc);
+                    Ok(Shape::Const(i))
+                }
+                None => {
+                    self.emit(Op::SizeofExpr(*inner), loc);
+                    Ok(Shape::Other)
+                }
+            },
             ExprKind::Cast(ty, inner) => match ty {
                 Ty::Void => {
                     self.expr(*inner)?;
@@ -1617,10 +1526,11 @@ impl<'a> FnCompiler<'a> {
                 }
                 Ty::Int(t) => {
                     let sh = self.expr(*inner)?;
-                    // Identity-conversion elision: when the operand's
-                    // value already has exactly type `t`, `convert_int`
-                    // is the identity and never notes — emit nothing.
-                    if self.static_ty(*inner) == Some(StTy::Int(*t)) {
+                    // Identity-conversion elision: a scalar slot's value
+                    // always has its declared type, so when that is `t`
+                    // `convert_int` is the identity and never notes —
+                    // emit nothing.
+                    if matches!(sh, Shape::SlotFast(_, st, _) if st == *t) {
                         return Ok(sh);
                     }
                     if let Shape::Const(i) = sh {
@@ -1650,12 +1560,12 @@ impl<'a> FnCompiler<'a> {
     fn addr_of(&mut self, inner: ExprId, loc: SourceLoc) -> CResult {
         let in_loc = self.expr_loc(inner);
         match &self.unit.expr(inner).kind {
-            ExprKind::Slot(slot, _) => match self.slot_kind(slot.0) {
-                SlotKind::Scalar(_) | SlotKind::PtrObj => {
+            ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
+                ValTy::Int(_) | ValTy::Ptr { .. } => {
                     self.emit(Op::SlotPlace(slot.0), in_loc);
                     Ok(Shape::Other)
                 }
-                SlotKind::Array => {
+                ValTy::Array { .. } => {
                     // The unbound check fires first (as in `eval_place`),
                     // then the §6.3.2.1:3 no-decay rejection at this loc.
                     self.emit(Op::BindCheck(slot.0), in_loc);
@@ -1667,7 +1577,7 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::FailUnsupported(m), loc);
                     Ok(Shape::Other)
                 }
-                SlotKind::Unknown => Err(Bail),
+                ValTy::Void | ValTy::Unknown => Err(Bail),
             },
             ExprKind::Deref(x) => {
                 self.expr(*x)?;
@@ -1713,8 +1623,8 @@ impl<'a> FnCompiler<'a> {
         match &self.unit.expr(place).kind {
             ExprKind::Slot(slot, _) => {
                 let place_loc = self.expr_loc(place);
-                match self.slot_kind(slot.0) {
-                    SlotKind::Scalar(t) => {
+                match self.slot_ty(slot.0) {
+                    ValTy::Int(t) => {
                         self.emit(Op::BindCheck(slot.0), place_loc);
                         self.expr(rhs)?;
                         let fast = match op {
@@ -1730,7 +1640,7 @@ impl<'a> FnCompiler<'a> {
                         self.emit(Op::AssignSlot(i), loc);
                         Ok(Shape::Other)
                     }
-                    SlotKind::PtrObj => {
+                    ValTy::Ptr { .. } => {
                         self.emit(Op::BindCheck(slot.0), place_loc);
                         self.expr(rhs)?;
                         let i = self.code.stores.len() as u32;
@@ -1742,7 +1652,7 @@ impl<'a> FnCompiler<'a> {
                         self.emit(Op::AssignSlot(i), loc);
                         Ok(Shape::Other)
                     }
-                    SlotKind::Array => {
+                    ValTy::Array { .. } => {
                         self.emit(Op::BindCheck(slot.0), place_loc);
                         let msg = format!(
                             "array `{}` is not a modifiable lvalue",
@@ -1752,7 +1662,7 @@ impl<'a> FnCompiler<'a> {
                         self.emit(Op::FailUnsupported(m), loc);
                         Ok(Shape::Other)
                     }
-                    SlotKind::Unknown => Err(Bail),
+                    ValTy::Void | ValTy::Unknown => Err(Bail),
                 }
             }
             ExprKind::Deref(x) => {
@@ -1792,13 +1702,13 @@ impl<'a> FnCompiler<'a> {
     ) -> CResult {
         let place_loc = self.expr_loc(place);
         match &self.unit.expr(place).kind {
-            ExprKind::Slot(slot, _) => match self.slot_kind(slot.0) {
-                SlotKind::Scalar(_) | SlotKind::PtrObj => {
+            ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
+                ValTy::Int(_) | ValTy::Ptr { .. } => {
                     self.emit(Op::SlotPlace(slot.0), place_loc);
                     self.emit(Op::IncDec(delta, is_post), loc);
                     Ok(Shape::Other)
                 }
-                SlotKind::Array => {
+                ValTy::Array { .. } => {
                     self.emit(Op::BindCheck(slot.0), place_loc);
                     let msg = format!(
                         "array `{}` is not a modifiable lvalue",
@@ -1808,7 +1718,7 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::FailUnsupported(m), loc);
                     Ok(Shape::Other)
                 }
-                SlotKind::Unknown => Err(Bail),
+                ValTy::Void | ValTy::Unknown => Err(Bail),
             },
             ExprKind::Deref(x) => {
                 self.expr(*x)?;

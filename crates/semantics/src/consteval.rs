@@ -12,23 +12,29 @@
 //!   evaluator uses it at run time and [`const_eval`] uses it at
 //!   translation time, so the two phases can never disagree about what
 //!   `1 << 31` or `1u << 31` means.
-//! - [`const_eval`] — the constant-expression engine: evaluates the
-//!   subset of expressions §6.6 admits (constants, arithmetic, `&&`/`||`
-//!   with their short circuits, `?:`, `sizeof(type)`). Anything else —
-//!   identifiers, assignments, calls, the comma operator (§6.6:3) — is
-//!   [`ConstStop::NotConst`]. An undefined operation *inside* a constant
-//!   expression violates §6.6:4 ("each constant expression shall
-//!   evaluate to a constant in the range of representable values") and
-//!   comes back as [`ConstStop::Ub`] carrying the same [`UbKind`] the
-//!   evaluator would have raised.
+//! - [`non_constant`] / [`is_constant_expr`] — the one §6.6 predicate:
+//!   constants, `sizeof` of a constant-sized operand, integer casts, and
+//!   arithmetic, `&&`/`||` and `?:` over those, in every operand.
+//!   Anything else — identifiers, assignments, calls, the comma operator
+//!   (§6.6:3) — makes the expression non-constant. The resolver uses it
+//!   for the static-vs-VLA classification of array sizes.
+//! - [`const_eval`] — the constant-expression engine:
+//!   [`ConstStop::NotConst`] exactly when the predicate says so,
+//!   otherwise the folded value, with `&&`/`||`/`?:` short-circuiting
+//!   and the types of `sizeof` operands and `?:` read from the unit's
+//!   type table ([`TranslationUnit::ty`]). An undefined operation
+//!   *inside* a constant expression violates §6.6:4 ("each constant
+//!   expression shall evaluate to a constant in the range of
+//!   representable values") and comes back as [`ConstStop::Ub`]
+//!   carrying the same [`UbKind`] the evaluator would have raised.
 //!
 //! This is what lets the translation-phase analyzer diagnose
 //! `int a[1 << 40];` or a division by zero in a `case` label in code
 //! that is never executed — at the right width: `long a = 1L << 40;` is
 //! defined, `int a[1 << 40]` is not.
 
-use crate::ast::{BinOp, ExprId, ExprKind, TranslationUnit, Ty, UnaryOp};
-use crate::ctype::{CInt, IntTy, PTR_BYTES, SIZE_T};
+use crate::ast::{BinOp, ExprId, ExprKind, TranslationUnit, Ty, UnaryOp, ValTy};
+use crate::ctype::{CInt, IntTy, SIZE_T};
 use cundef_ub::{SourceLoc, UbKind};
 
 /// Why an expression has no translation-time value.
@@ -342,58 +348,49 @@ pub fn symbol(op: BinOp) -> &'static str {
     }
 }
 
-/// `sizeof` of a declared type on the LP64 target, in bytes. `None` for
-/// bare `void`, whose size does not exist (§6.5.3.4:1).
-pub fn size_of_ty(ty: &Ty) -> Option<u64> {
-    match ty {
-        Ty::Int(it) => Some(it.size_bytes()),
-        Ty::Void => None,
-        Ty::Ptr(_) => Some(PTR_BYTES),
+/// The §6.6 predicate: `None` when `e` is an integer constant
+/// expression (§6.6:6), otherwise the position of the first operand
+/// (left to right) that keeps it from being one.
+///
+/// Only integer constants, `sizeof` with a constant-sized operand,
+/// casts to integer types, and the arithmetic, logical and conditional
+/// operators over those qualify — in *every* operand, evaluated or not:
+/// `0 && x` and `1 ? 2 : !x` are not constant expressions. `sizeof` is
+/// constant unless its operand's type has no translation-time size: a
+/// variable length array (§6.5.3.4:2), `void`, or an untyped operand.
+pub fn non_constant(unit: &TranslationUnit, e: ExprId) -> Option<SourceLoc> {
+    let expr = unit.expr(e);
+    match &expr.kind {
+        ExprKind::IntLit(_) => None,
+        ExprKind::SizeofType(ty) => ValTy::of(ty).size_bytes().is_none().then_some(expr.loc),
+        ExprKind::SizeofExpr(a) => unit
+            .ty(*a)
+            .size_bytes()
+            .is_none()
+            .then(|| unit.expr(*a).loc),
+        ExprKind::Unary(_, a) | ExprKind::Cast(Ty::Int(_), a) => non_constant(unit, *a),
+        ExprKind::Binary(_, a, b) | ExprKind::LogicalAnd(a, b) | ExprKind::LogicalOr(a, b) => {
+            non_constant(unit, *a).or_else(|| non_constant(unit, *b))
+        }
+        ExprKind::Conditional(c, t, f) => non_constant(unit, *c)
+            .or_else(|| non_constant(unit, *t))
+            .or_else(|| non_constant(unit, *f)),
+        // Identifiers, assignments, calls, pointer casts, the comma
+        // operator (banned outright by §6.6:3), …
+        _ => Some(expr.loc),
     }
 }
 
-/// The declared type of a constant expression, computed *without*
-/// evaluating it — the translation-time mirror of the evaluator's
-/// `sizeof` type walk. `sizeof(expr)` needs it because its operand is
-/// unevaluated (§6.5.3.4:2), and `?:` needs it because the result type
-/// is the common type of *both* branches (§6.5.15:5) even though only
-/// one is evaluated.
-///
-/// Stays within the §6.6 subset: anything whose type would require
-/// identifiers, calls, or object inspection is `NotConst`.
-fn const_ty_of(unit: &TranslationUnit, e: ExprId) -> Result<IntTy, ConstStop> {
-    let expr = unit.expr(e);
-    let loc = expr.loc;
-    match &expr.kind {
-        ExprKind::IntLit(v) => Ok(v.ty),
-        ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => Ok(SIZE_T),
-        ExprKind::Cast(Ty::Int(to), _) => Ok(*to),
-        ExprKind::Unary(UnaryOp::Not, _) => Ok(IntTy::Int),
-        ExprKind::Unary(UnaryOp::Neg | UnaryOp::BitNot, a) => Ok(const_ty_of(unit, *a)?.promote()),
-        ExprKind::Binary(op, a, b) => {
-            use BinOp::*;
-            match op {
-                Lt | Le | Gt | Ge | Eq | Ne => Ok(IntTy::Int),
-                // §6.5.7:3 — the result type is the promoted left
-                // operand's.
-                Shl | Shr => Ok(const_ty_of(unit, *a)?.promote()),
-                _ => Ok(IntTy::usual_arith(
-                    const_ty_of(unit, *a)?,
-                    const_ty_of(unit, *b)?,
-                )),
-            }
-        }
-        ExprKind::LogicalAnd(_, _) | ExprKind::LogicalOr(_, _) => Ok(IntTy::Int),
-        ExprKind::Conditional(_, t, f) => Ok(IntTy::usual_arith(
-            const_ty_of(unit, *t)?,
-            const_ty_of(unit, *f)?,
-        )),
-        _ => Err(ConstStop::NotConst(loc)),
-    }
+/// Whether `e` is an integer constant expression (§6.6:6); see
+/// [`non_constant`].
+pub fn is_constant_expr(unit: &TranslationUnit, e: ExprId) -> bool {
+    non_constant(unit, e).is_none()
 }
 
 /// Evaluate `e` as an integer constant expression (§6.6), yielding a
-/// typed constant.
+/// typed constant. It is [`ConstStop::NotConst`] exactly when the §6.6
+/// predicate ([`non_constant`]) says so; the types of `sizeof` operands
+/// and of `?:` come from the unit's type table.
 ///
 /// # Examples
 ///
@@ -410,31 +407,37 @@ fn const_ty_of(unit: &TranslationUnit, e: ExprId) -> Result<IntTy, ConstStop> {
 /// assert_eq!(const_eval(&unit, size).unwrap().math(), 5);
 /// ```
 pub fn const_eval(unit: &TranslationUnit, e: ExprId) -> Result<CInt, ConstStop> {
+    match non_constant(unit, e) {
+        Some(loc) => Err(ConstStop::NotConst(loc)),
+        None => fold(unit, e),
+    }
+}
+
+/// Fold an expression the §6.6 predicate accepted: only undefined
+/// operations (§6.6:4) can stop it.
+fn fold(unit: &TranslationUnit, e: ExprId) -> Result<CInt, ConstStop> {
     let expr = unit.expr(e);
     let loc = expr.loc;
     let ub = |(kind, detail): (UbKind, String)| ConstStop::Ub { kind, detail, loc };
+    // The predicate admitted only `sizeof`s whose operand has a size.
+    let size_t = |n: Option<u64>| {
+        n.map(|n| CInt::new(n as i128, SIZE_T))
+            .ok_or(ConstStop::NotConst(loc))
+    };
     match &expr.kind {
         ExprKind::IntLit(v) => Ok(*v),
-        ExprKind::SizeofType(ty) => match size_of_ty(ty) {
-            Some(n) => Ok(CInt::new(n as i128, SIZE_T)),
-            // `sizeof (void)` has no value; the analyzer reports it.
-            None => Err(ConstStop::NotConst(loc)),
-        },
+        ExprKind::SizeofType(ty) => size_t(ValTy::of(ty).size_bytes()),
         // `sizeof expr` does not evaluate its operand (§6.5.3.4:2) —
         // only its type matters, so even `sizeof(1 / 0)` is a defined
         // `size_t` constant.
-        ExprKind::SizeofExpr(inner) => {
-            let t = const_ty_of(unit, *inner)?;
-            Ok(CInt::new(t.size_bytes() as i128, SIZE_T))
-        }
+        ExprKind::SizeofExpr(inner) => size_t(unit.ty(*inner).size_bytes()),
         // §6.6:6 admits casts to integer types in integer constant
         // expressions. The conversion itself is §6.3.1.3 — defined or
         // implementation-defined, never UB — so it folds silently; the
         // evaluator records the same wrap as a note at run time.
-        ExprKind::Cast(Ty::Int(to), inner) => Ok(const_eval(unit, *inner)?.convert(*to).0),
-        ExprKind::Cast(_, _) => Err(ConstStop::NotConst(loc)),
+        ExprKind::Cast(Ty::Int(to), inner) => Ok(fold(unit, *inner)?.convert(*to).0),
         ExprKind::Unary(op, inner) => {
-            let v = const_eval(unit, *inner)?;
+            let v = fold(unit, *inner)?;
             match op {
                 UnaryOp::Neg => neg(v).map_err(ub),
                 UnaryOp::Not => Ok(CInt::int(v.is_zero() as i64)),
@@ -442,38 +445,36 @@ pub fn const_eval(unit: &TranslationUnit, e: ExprId) -> Result<CInt, ConstStop> 
             }
         }
         ExprKind::Binary(op, l, r) => {
-            let a = const_eval(unit, *l)?;
-            let b = const_eval(unit, *r)?;
+            let a = fold(unit, *l)?;
+            let b = fold(unit, *r)?;
             arith(*op, a, b).map_err(ub)
         }
         ExprKind::LogicalAnd(l, r) => {
             // The unevaluated operand of a short circuit is exempt from
             // §6.6:4, mirroring run-time semantics (§6.5.13:4).
-            if const_eval(unit, *l)?.is_zero() {
+            if fold(unit, *l)?.is_zero() {
                 return Ok(CInt::int(0));
             }
-            Ok(CInt::int(!const_eval(unit, *r)?.is_zero() as i64))
+            Ok(CInt::int(!fold(unit, *r)?.is_zero() as i64))
         }
         ExprKind::LogicalOr(l, r) => {
-            if !const_eval(unit, *l)?.is_zero() {
+            if !fold(unit, *l)?.is_zero() {
                 return Ok(CInt::int(1));
             }
-            Ok(CInt::int(!const_eval(unit, *r)?.is_zero() as i64))
+            Ok(CInt::int(!fold(unit, *r)?.is_zero() as i64))
         }
         ExprKind::Conditional(c, t, f) => {
-            let cv = const_eval(unit, *c)?;
-            let chosen = const_eval(unit, if !cv.is_zero() { *t } else { *f })?;
+            let cv = fold(unit, *c)?;
+            let chosen = fold(unit, if !cv.is_zero() { *t } else { *f })?;
             // §6.5.15:5 — the result has the *common* type of both
-            // branches (usual arithmetic conversions), even though only
-            // one branch is evaluated: `0 ? 0 : (short)0` is an `int`,
-            // and `1 ? -1 : 0u` is UINT_MAX. The conversion itself is
-            // §6.3.1.3 — never undefined.
-            let common = IntTy::usual_arith(const_ty_of(unit, *t)?, const_ty_of(unit, *f)?);
-            Ok(chosen.convert(common).0)
+            // branches, even though only one is evaluated: `0 ? 0 :
+            // (short)0` is an `int`, and `1 ? -1 : 0u` is UINT_MAX. The
+            // conversion itself is §6.3.1.3 — never undefined.
+            match unit.ty(e) {
+                ValTy::Int(common) => Ok(chosen.convert(common).0),
+                _ => Ok(chosen),
+            }
         }
-        // Everything else — identifiers, assignments, calls, the comma
-        // operator (explicitly banned by §6.6:3) — is not a constant
-        // expression.
         _ => Err(ConstStop::NotConst(loc)),
     }
 }

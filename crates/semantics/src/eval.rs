@@ -66,7 +66,9 @@
 //!   only allocate when an error report is actually built (the cold
 //!   path).
 
-use crate::ast::{BinOp, Decl, ExprId, ExprKind, Stmt, StmtId, TranslationUnit, Ty, UnaryOp};
+use crate::ast::{
+    BinOp, Decl, ExprId, ExprKind, Stmt, StmtId, TranslationUnit, Ty, UnaryOp, ValTy,
+};
 use crate::bytecode::CodeUnit;
 use crate::compile::{compile, CompiledUnit};
 use crate::consteval::{self, ConstStop};
@@ -708,16 +710,6 @@ fn access_allowed(access: PointeeTy, elem: &Elem) -> bool {
     }
 }
 
-/// Type classification of a `sizeof` operand.
-enum SizeofTy {
-    /// An integer type of the lattice.
-    Scalar(IntTy),
-    /// Any object-pointer type (all 8 bytes on LP64).
-    Pointer,
-    /// An undecayed array designator: total size in bytes.
-    Bytes(u64),
-}
-
 /// One memory object: a byte array with a per-byte init bitmap, a
 /// lifetime, and a declared (or effective) element type.
 struct Object {
@@ -883,7 +875,7 @@ impl<'a> Interp<'a> {
             .functions
             .iter()
             .map(|func| FramePlan {
-                n_slots: func.n_slots,
+                n_slots: func.slots.len() as u32,
                 params: func
                     .params
                     .iter()
@@ -1801,24 +1793,14 @@ impl<'a> Interp<'a> {
                 };
                 Ok(out)
             }
-            ExprKind::SizeofType(ty) => match consteval::size_of_ty(ty) {
+            ExprKind::SizeofType(ty) => match ValTy::of(ty).size_bytes() {
                 Some(n) => Ok(Value::Int(CInt::new(n as i128, SIZE_T))),
                 None => Err(stop_unsupported(
                     "`sizeof` applied to the incomplete type `void`",
                     loc,
                 )),
             },
-            ExprKind::SizeofExpr(inner) => {
-                // The operand is not evaluated (§6.5.3.4:2); only its
-                // type is computed.
-                match self.sizeof_expr_bytes(*inner) {
-                    Some(n) => Ok(Value::Int(CInt::new(n as i128, SIZE_T))),
-                    None => Err(stop_unsupported(
-                        "the type of this `sizeof` operand is outside the modeled semantics",
-                        loc,
-                    )),
-                }
-            }
+            ExprKind::SizeofExpr(inner) => self.sizeof_expr(*inner, loc),
             ExprKind::Binary(op, l, r) => {
                 let start = self.fp.len();
                 let lv = self.eval(*l)?;
@@ -1855,19 +1837,15 @@ impl<'a> Interp<'a> {
                 // §6.5.15:5 — with arithmetic operands the result has
                 // the *common* type of both branches, even though only
                 // one is evaluated: `1 ? -1 : 0u` is UINT_MAX, and
-                // `0 ? 0 : (short)0` is an `int`. The branch types come
-                // from the same no-eval type walk `sizeof` uses, so the
-                // value and `sizeof(e ? a : b)` can never disagree.
-                if let Value::Int(n) = v {
-                    if let (Some(SizeofTy::Scalar(x)), Some(SizeofTy::Scalar(y))) = (
-                        self.sizeof_ty_of(*t).map(decay),
-                        self.sizeof_ty_of(*f).map(decay),
-                    ) {
-                        let common = IntTy::usual_arith(x, y);
-                        return Ok(Value::Int(self.convert_int(n, common, loc)));
+                // `0 ? 0 : (short)0` is an `int`. The type comes from the
+                // unit's type table, so the value and `sizeof(e ? a : b)`
+                // can never disagree.
+                match (v, unit.ty(e)) {
+                    (Value::Int(n), ValTy::Int(common)) => {
+                        Ok(Value::Int(self.convert_int(n, common, loc)))
                     }
+                    _ => Ok(v),
                 }
-                Ok(v)
             }
             ExprKind::Comma(l, r) => {
                 self.eval(*l)?;
@@ -1960,97 +1938,25 @@ impl<'a> Interp<'a> {
         )
     }
 
-    /// The *type* of a `sizeof` operand, computed without evaluating it
-    /// (§6.5.3.4:2), or `None` when the engine cannot name it (pointee
-    /// types of arbitrary lvalues are not tracked dynamically).
-    fn sizeof_ty_of(&self, e: ExprId) -> Option<SizeofTy> {
-        use SizeofTy::*;
-        match &self.unit.expr(e).kind {
-            ExprKind::IntLit(c) => Some(Scalar(c.ty)),
-            ExprKind::Slot(slot, _) => {
-                let obj = self.slot_object(*slot)?;
-                if self.obj_is_array(obj) {
-                    // An array designator under sizeof does not decay
-                    // (§6.3.2.1:3): the result is the whole array's size —
-                    // which in the byte model simply *is* its byte length.
-                    // (Stale-safe: sizeof does not evaluate its operand,
-                    // so a recycled slot answers from its tombstone.)
-                    Some(Bytes(self.obj_len(obj) as u64))
-                } else {
-                    match self.obj_elem(obj) {
-                        Elem::Scalar(t) => Some(Scalar(t)),
-                        Elem::Ptr(_) => Some(Pointer),
-                        Elem::Untyped => None,
-                    }
-                }
+    /// `sizeof operand` (§6.5.3.4:2): the size of the operand's type from
+    /// the unit's type table. Only a variable length array's length is a
+    /// property of the live object — read here without evaluating
+    /// anything (stale-safe: a recycled slot answers from its tombstone).
+    /// An operand the table cannot size stops as a checker limitation.
+    fn sizeof_expr(&self, operand: ExprId, loc: SourceLoc) -> EResult<Value> {
+        let n = match (self.unit.ty(operand), &self.unit.expr(operand).kind) {
+            (ValTy::Array { len: None, .. }, ExprKind::Slot(slot, _)) => {
+                self.slot_object(*slot).map(|obj| self.obj_len(obj) as u64)
             }
-            // A cast's type is right there in the node (§6.5.4).
-            ExprKind::Cast(ty, _) => match ty {
-                Ty::Void => None,
-                Ty::Int(t) => Some(Scalar(*t)),
-                Ty::Ptr(_) => Some(Pointer),
-            },
-            ExprKind::Unary(op, a) => match op {
-                UnaryOp::Not => Some(Scalar(IntTy::Int)),
-                UnaryOp::Neg | UnaryOp::BitNot => match self.sizeof_ty_of(*a)? {
-                    Scalar(t) => Some(Scalar(t.promote())),
-                    _ => None,
-                },
-            },
-            ExprKind::Binary(op, a, b) => {
-                use BinOp::*;
-                match op {
-                    Lt | Le | Gt | Ge | Eq | Ne => Some(Scalar(IntTy::Int)),
-                    // §6.5.7:3 — the result type is the promoted left
-                    // operand's.
-                    Shl | Shr => match self.sizeof_ty_of(*a)? {
-                        Scalar(t) => Some(Scalar(t.promote())),
-                        _ => None,
-                    },
-                    // Arrays decay in every context except as the direct
-                    // sizeof operand (§6.3.2.1:3), so an operand typed
-                    // `Bytes` participates as a pointer here.
-                    _ => match (decay(self.sizeof_ty_of(*a)?), decay(self.sizeof_ty_of(*b)?)) {
-                        (Scalar(x), Scalar(y)) => Some(Scalar(IntTy::usual_arith(x, y))),
-                        (Pointer, Scalar(_)) | (Scalar(_), Pointer) if matches!(op, Add | Sub) => {
-                            Some(Pointer)
-                        }
-                        _ => None,
-                    },
-                }
-            }
-            ExprKind::LogicalAnd(_, _) | ExprKind::LogicalOr(_, _) => Some(Scalar(IntTy::Int)),
-            ExprKind::Conditional(_, t, f) => {
-                match (decay(self.sizeof_ty_of(*t)?), decay(self.sizeof_ty_of(*f)?)) {
-                    (Scalar(x), Scalar(y)) => Some(Scalar(IntTy::usual_arith(x, y))),
-                    (Pointer, Pointer) => Some(Pointer),
-                    _ => None,
-                }
-            }
-            ExprKind::AddrOf(_) => Some(Pointer),
-            ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => Some(Scalar(SIZE_T)),
-            ExprKind::Comma(_, b) => Some(decay(self.sizeof_ty_of(*b)?)),
-            ExprKind::Call(name, _) => {
-                let f = self.unit.function(*name)?;
-                if f.returns_void {
-                    None
-                } else if f.ret_ptr > 0 {
-                    Some(Pointer)
-                } else {
-                    Some(Scalar(f.ret_scalar))
-                }
-            }
-            _ => None,
+            (ty, _) => ty.size_bytes(),
+        };
+        match n {
+            Some(n) => Ok(Value::Int(CInt::new(n as i128, SIZE_T))),
+            None => Err(stop_unsupported(
+                "the type of this `sizeof` operand is outside the modeled semantics",
+                loc,
+            )),
         }
-    }
-
-    /// `sizeof` of an expression operand, in bytes.
-    fn sizeof_expr_bytes(&self, e: ExprId) -> Option<u64> {
-        Some(match self.sizeof_ty_of(e)? {
-            SizeofTy::Scalar(t) => t.size_bytes(),
-            SizeofTy::Pointer => PTR_BYTES,
-            SizeofTy::Bytes(n) => n,
-        })
     }
 
     /// Evaluate an expression that must produce a usable pointer.
@@ -3113,7 +3019,7 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_decl(&mut self, d: &'a Decl) -> EResult<()> {
-        if d.redeclaration {
+        if d.redeclares.is_some() {
             return Err(stop_unsupported(
                 format!("redeclaration of `{}` in the same scope", self.name(d.name)),
                 d.loc,
@@ -3238,16 +3144,6 @@ impl<'a> Interp<'a> {
         // expressions; they do not persist into later footprints.
         self.fp.truncate(fp_mark);
         Ok(())
-    }
-}
-
-/// Array-to-pointer decay (§6.3.2.1:3) for `sizeof` operand typing: an
-/// array designator keeps its `Bytes` size only as the *direct* operand;
-/// anywhere deeper it participates as a pointer.
-fn decay(t: SizeofTy) -> SizeofTy {
-    match t {
-        SizeofTy::Bytes(_) => SizeofTy::Pointer,
-        other => other,
     }
 }
 
@@ -4260,6 +4156,40 @@ mod tests {
             .exit_code(),
             Some(1)
         );
+    }
+
+    /// Programs whose `sizeof` operands the type table types: each
+    /// returns 1 when every size matches LP64.
+    const SIZEOF_TABLE_PROGRAMS: &[&str] = &[
+        // A dereference or subscript has the pointee's size.
+        "int main(void) { int v = 3; int *p = &v; long *l = malloc(16); \
+         return sizeof *p == 4u && sizeof p[0] == 4u && sizeof *l == 8u \
+         && sizeof l[1] == 8u; }",
+        // A pointer difference is a `ptrdiff_t`, `long` on LP64.
+        "int main(void) { int a[2]; int *q = a; return sizeof(q - q) == 8u; }",
+        // An assignment has its left operand's type and is not evaluated.
+        "int main(void) { int x = 1; char c = 2; \
+         return sizeof(x = 5) == 4u && sizeof(c += 1) == 1u && x == 1 && c == 2; }",
+        // A VLA's size is its live object's length; an element's is not.
+        "int main(void) { int n = 3; long v[n]; return sizeof v == 24u && sizeof v[0] == 8u; }",
+        // `?:` converts to the common type of both arms (§6.5.15:5), even
+        // when an arm is a dereference.
+        "int main(void) { int v = -1; int *p = &v; \
+         return ((1 ? *p : 0u) >> 31) == 1 && sizeof(1 ? *p : 0L) == 8u; }",
+    ];
+
+    #[test]
+    fn sizeof_reads_the_type_table() {
+        for src in SIZEOF_TABLE_PROGRAMS {
+            assert_eq!(run(src).exit_code(), Some(1), "{src}");
+        }
+        // Only an operand the table cannot type stays a checker
+        // limitation.
+        assert!(matches!(
+            run("int main(void) { return sizeof ghost; }"),
+            Outcome::Unsupported { message, .. }
+                if message.contains("outside the modeled semantics")
+        ));
     }
 
     #[test]

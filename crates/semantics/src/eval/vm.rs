@@ -255,23 +255,10 @@ impl<'a> Interp<'a> {
                         pc = t;
                     }
                 }
-                Op::CondCommon(id) => {
-                    let v = self.vpop();
-                    let v = if let Value::Int(n) = v {
-                        let ExprKind::Conditional(_, t, f) = &unit.expr(id).kind else {
-                            unreachable!("CondCommon on a non-conditional node");
-                        };
-                        if let (Some(SizeofTy::Scalar(x)), Some(SizeofTy::Scalar(y))) = (
-                            self.sizeof_ty_of(*t).map(decay),
-                            self.sizeof_ty_of(*f).map(decay),
-                        ) {
-                            let common = IntTy::usual_arith(x, y);
-                            Value::Int(self.convert_int(n, common, loc))
-                        } else {
-                            Value::Int(n)
-                        }
-                    } else {
-                        v
+                Op::CondCommon(common) => {
+                    let v = match self.vpop() {
+                        Value::Int(n) => Value::Int(self.convert_int(n, common, loc)),
+                        v => v,
                     };
                     self.vstack.push(v);
                 }
@@ -457,13 +444,8 @@ impl<'a> Interp<'a> {
                     self.vstack.push(Value::Missing(UbKind::VoidValueUsed));
                 }
                 Op::SizeofExpr(inner) => {
-                    match self.sizeof_expr_bytes(inner) {
-                        Some(n) => self.vstack.push(Value::Int(CInt::new(n as i128, SIZE_T))),
-                        None => return Err(stop_unsupported(
-                            "the type of this `sizeof` operand is outside the modeled semantics",
-                            loc,
-                        )),
-                    }
+                    let v = self.sizeof_expr(inner, loc)?;
+                    self.vstack.push(v);
                 }
                 Op::ArgPush => {
                     let v = self.vpop();

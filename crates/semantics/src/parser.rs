@@ -427,7 +427,7 @@ impl Parser {
             fn_quals,
             body,
             loc,
-            n_slots: 0, // filled by the resolver
+            slots: Vec::new(), // filled by the resolver
             labels: Vec::new(),
             gotos: Vec::new(),
         })
@@ -500,7 +500,7 @@ impl Parser {
             loc,
             slot: SlotId(u32::MAX),
             const_size: false,
-            redeclaration: false,
+            redeclares: None,
         })
     }
 

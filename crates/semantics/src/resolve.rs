@@ -1,4 +1,5 @@
-//! Name resolution: binds every variable reference to a frame slot.
+//! Name resolution and typing: binds every variable reference to a
+//! frame slot and records the static type of every expression.
 //!
 //! This pass runs once, between parsing and evaluation, and turns the
 //! evaluator's name lookups into array indexing:
@@ -6,16 +7,22 @@
 //! - every parameter and declaration in a function is assigned a dense,
 //!   frame-relative [`SlotId`] (shadowing declarations get distinct
 //!   slots, so the same lexical name can refer to different slots at
-//!   different program points);
+//!   different program points), and its declared type is recorded in
+//!   the function's slot table ([`crate::ast::Function::slots`]);
 //! - every [`ExprKind::Ident`] that is visible from a declaration is
 //!   rewritten to [`ExprKind::Slot`], keeping the original [`Symbol`] so
 //!   diagnostics still print the identifier as it was spelled;
 //! - identifiers with *no* visible declaration are left as `Ident` — the
 //!   evaluator reports them only if they are actually reached, exactly as
 //!   the pre-resolution engine did for dead code;
-//! - same-scope redeclarations are flagged on the [`Decl`] (reported
+//! - every expression is typed bottom-up by `type_of`, C's one set of
+//!   expression-typing rules, into the unit's type table
+//!   ([`TranslationUnit::ty`]) that consteval, both engines, the
+//!   compiler and the analyzer read;
+//! - same-scope redeclarations are recorded on the [`Decl`] (reported
 //!   when executed, preserving lazy semantics), and array-size
-//!   constant-ness (§6.6:6) is precomputed for the static-vs-VLA
+//!   constant-ness is decided by the one §6.6 predicate
+//!   ([`crate::consteval::is_constant_expr`]) for the static-vs-VLA
 //!   classification of non-positive sizes;
 //! - a `symbol -> function` table is built so call-target lookup is O(1).
 //!
@@ -25,9 +32,15 @@
 //! a use of a name textually before its declaration in the same block
 //! binds to an outer declaration (or stays unresolved).
 
-use crate::ast::{Decl, ExprId, ExprKind, SlotId, Stmt, StmtId, TranslationUnit};
-use crate::intern::Symbol;
+use crate::ast::{
+    Base, BinOp, Decl, ExprId, ExprKind, SlotId, SlotTy, Stmt, StmtId, TranslationUnit, UnaryOp,
+    ValTy,
+};
+use crate::consteval::{const_eval, is_constant_expr};
+use crate::ctype::{IntTy, SIZE_T};
+use crate::intern::{kw, Symbol};
 use cundef_ub::SourceLoc;
+use std::num::NonZeroU32;
 
 /// Resolve `unit` in place. Called by [`crate::parser::parse`]; a unit
 /// that came out of `parse` is always resolved.
@@ -42,12 +55,12 @@ pub fn resolve(unit: &mut TranslationUnit) {
         }
     }
     unit.func_by_symbol = func_by_symbol;
+    unit.types = vec![ValTy::Unknown; unit.exprs.len()];
 
     for i in 0..unit.functions.len() {
         let mut r = Resolver {
             scopes: Vec::with_capacity(8),
-            next_slot: 0,
-            vla_slot: Vec::new(),
+            slots: Vec::new(),
             labels: Vec::new(),
             gotos: Vec::new(),
         };
@@ -56,18 +69,18 @@ pub fn resolve(unit: &mut TranslationUnit) {
         // parameter's name is a redeclaration, not a shadow.
         r.scopes.push(Vec::new());
         for p in &unit.functions[i].params {
-            let slot = r.fresh_slot();
-            r.scopes
-                .last_mut()
-                .expect("param scope")
-                .push((p.name, slot));
+            let ty = SlotTy {
+                ty: ValTy::of(&p.ty),
+                is_const: false,
+            };
+            r.bind(p.name, ty);
         }
         let body = std::mem::take(&mut unit.functions[i].body);
         for &s in &body {
             r.resolve_stmt(unit, s);
         }
         unit.functions[i].body = body;
-        unit.functions[i].n_slots = r.next_slot;
+        unit.functions[i].slots = r.slots;
         unit.functions[i].labels = r.labels;
         unit.functions[i].gotos = r.gotos;
     }
@@ -76,13 +89,8 @@ pub fn resolve(unit: &mut TranslationUnit) {
 struct Resolver {
     /// Innermost scope last; each scope maps names to slots.
     scopes: Vec<Vec<(Symbol, SlotId)>>,
-    next_slot: u32,
-    /// Per-slot flag: the slot was declared as a variable length array.
-    /// `sizeof` of a VLA is not a constant expression (§6.5.3.4:2), so
-    /// the constness predicate below needs this to classify
-    /// `int a[sizeof x]` as an ordinary array without misreading
-    /// `int b[sizeof vla]`.
-    vla_slot: Vec<bool>,
+    /// Declared type of every slot bound so far, indexed by slot.
+    slots: Vec<SlotTy>,
     /// Labels defined in the function, in source order — exported on the
     /// [`crate::ast::Function`] for the translation-phase analyzer
     /// (duplicate labels, goto targets, jumps into VLA scope).
@@ -92,10 +100,14 @@ struct Resolver {
 }
 
 impl Resolver {
-    fn fresh_slot(&mut self) -> SlotId {
-        let slot = SlotId(self.next_slot);
-        self.next_slot += 1;
-        self.vla_slot.push(false);
+    /// Give `name` a fresh slot of type `ty` in the innermost scope.
+    fn bind(&mut self, name: Symbol, ty: SlotTy) -> SlotId {
+        let slot = SlotId(u32::try_from(self.slots.len()).expect("fewer than 2^32 slots"));
+        self.slots.push(ty);
+        self.scopes
+            .last_mut()
+            .expect("active scope")
+            .push((name, slot));
         slot
     }
 
@@ -109,12 +121,15 @@ impl Resolver {
         })
     }
 
-    fn in_current_scope(&self, name: Symbol) -> bool {
+    /// The slot `name` is already bound to in the innermost scope.
+    fn in_current_scope(&self, name: Symbol) -> Option<SlotId> {
         self.scopes
             .last()
             .expect("active scope")
             .iter()
-            .any(|(n, _)| *n == name)
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, slot)| *slot)
     }
 
     fn resolve_stmt(&mut self, unit: &mut TranslationUnit, s: StmtId) {
@@ -195,19 +210,25 @@ impl Resolver {
         // The declarator (including its array size) is resolved in the
         // scope *outside* the new binding: `int n = 2; { int n[n]; }`
         // sizes the array with the outer n (§6.2.1:7).
-        if let Some(size) = d.array_size {
-            self.resolve_expr(unit, size);
-            d.const_size = self.is_constant_expr(unit, size);
-        }
-        d.redeclaration = self.in_current_scope(d.name);
-        d.slot = self.fresh_slot();
-        if d.array_size.is_some() && !d.const_size {
-            self.vla_slot[d.slot.index()] = true;
-        }
-        self.scopes
-            .last_mut()
-            .expect("active scope")
-            .push((d.name, d.slot));
+        let ty = match d.array_size {
+            None => ValTy::of(&d.ty),
+            Some(size) => {
+                self.resolve_expr(unit, size);
+                d.const_size = is_constant_expr(unit, size);
+                // A constant length is known now; an invalid one (not
+                // positive, or undefined) leaves the type unsized.
+                let len = d
+                    .const_size
+                    .then(|| const_eval(unit, size).ok())
+                    .flatten()
+                    .and_then(|n| u32::try_from(n.math()).ok())
+                    .and_then(NonZeroU32::new);
+                ValTy::array(&d.ty, len)
+            }
+        };
+        d.redeclares = self.in_current_scope(d.name);
+        let is_const = d.quals.is_const;
+        d.slot = self.bind(d.name, SlotTy { ty, is_const });
         // The initializer sees the new binding: `int x = x;` reads the
         // fresh, indeterminate x.
         if let Some(init) = d.init {
@@ -271,61 +292,119 @@ impl Resolver {
                 }
             }
         }
+        unit.types[e.0 as usize] = type_of(unit, &self.slots, e);
     }
 }
 
-impl Resolver {
-    /// Whether `e` is an integer constant expression (§6.6:6) within the
-    /// subset: built only from constants, `sizeof`, and arithmetic on
-    /// them.
-    fn is_constant_expr(&self, unit: &TranslationUnit, e: ExprId) -> bool {
-        match unit.expr(e).kind {
-            ExprKind::IntLit(_) | ExprKind::SizeofType(_) => true,
-            // `sizeof expr` is constant unless the operand's type is
-            // variably modified (§6.5.3.4:2) — checked structurally.
-            ExprKind::SizeofExpr(a) => self.sizeof_operand_is_static(unit, a),
-            ExprKind::Unary(_, a) => self.is_constant_expr(unit, a),
-            // §6.6:6 — casts to integer types are admitted in integer
-            // constant expressions; pointer casts are not.
-            ExprKind::Cast(ref ty, a) => {
-                matches!(ty, crate::ast::Ty::Int(_)) && self.is_constant_expr(unit, a)
-            }
-            ExprKind::Binary(_, a, b) | ExprKind::LogicalAnd(a, b) | ExprKind::LogicalOr(a, b) => {
-                self.is_constant_expr(unit, a) && self.is_constant_expr(unit, b)
-            }
-            ExprKind::Conditional(c, t, f) => {
-                self.is_constant_expr(unit, c)
-                    && self.is_constant_expr(unit, t)
-                    && self.is_constant_expr(unit, f)
-            }
-            _ => false,
+/// C's expression-typing rules (§6.5), applied to `e` once its operands
+/// are typed: the single source of every static type in the workspace.
+/// `slots` holds the declared type of every slot bound so far.
+fn type_of(unit: &TranslationUnit, slots: &[SlotTy], e: ExprId) -> ValTy {
+    use ValTy::{Int, Ptr, Unknown};
+    // Operand values: arrays decay everywhere but under `sizeof` and `&`.
+    let ty = |x: ExprId| unit.ty(x).decay();
+    let is_null = |x: ExprId| matches!(unit.expr(x).kind, ExprKind::IntLit(c) if c.is_zero());
+    match &unit.expr(e).kind {
+        ExprKind::IntLit(c) => Int(c.ty),
+        ExprKind::Ident(_) => Unknown,
+        ExprKind::Slot(slot, _) => slots.get(slot.index()).map_or(Unknown, |s| s.ty),
+        // §6.5.3.3:5, §6.5.13:3, §6.5.14:3 — these yield int.
+        ExprKind::Unary(UnaryOp::Not, _) | ExprKind::LogicalAnd(..) | ExprKind::LogicalOr(..) => {
+            Int(IntTy::Int)
         }
+        // §6.5.3.3:2/:4 — the promoted operand's type.
+        ExprKind::Unary(_, a) => match ty(*a) {
+            Int(t) => Int(t.promote()),
+            _ => Unknown,
+        },
+        ExprKind::Binary(op, a, b) => binary(*op, ty(*a), ty(*b)),
+        ExprKind::Conditional(_, t, f) => match (ty(*t), ty(*f)) {
+            (x, y) if x == y => x,
+            // §6.5.15:5 — both arithmetic: the usual arithmetic
+            // conversions, whichever arm is chosen.
+            (Int(x), Int(y)) => Int(IntTy::usual_arith(x, y)),
+            // §6.5.15:6 — a null pointer constant takes the other arm's
+            // pointer type.
+            (p @ Ptr { .. }, Int(_)) if is_null(*f) => p,
+            (Int(_), p @ Ptr { .. }) if is_null(*t) => p,
+            (Ptr { .. }, Ptr { .. }) => Ptr {
+                depth: 1,
+                base: Base::Unknown,
+            },
+            _ => Unknown,
+        },
+        // §6.5.16:3, §6.5.2.4:2, §6.5.3.1:2 — the left operand's type.
+        ExprKind::Assign(p, _, _) | ExprKind::PreIncDec(p, _) | ExprKind::PostIncDec(p, _) => {
+            ty(*p)
+        }
+        // §6.5.3.2:4, §6.5.2.1:2 — the pointee; a `void` or unknown
+        // pointee has no value type.
+        ExprKind::Deref(a) | ExprKind::Index(a, _) => match ty(*a) {
+            Ptr {
+                depth: 1,
+                base: Base::Int(t),
+            } => Int(t),
+            Ptr { depth, base } if depth > 1 => Ptr {
+                depth: depth - 1,
+                base,
+            },
+            _ => Unknown,
+        },
+        // §6.5.3.2:3 — the operand does not decay: `&a` of an array is a
+        // pointer to the whole array, whose pointee the lattice cannot
+        // name.
+        ExprKind::AddrOf(a) => match unit.ty(*a) {
+            Int(t) => Ptr {
+                depth: 1,
+                base: Base::Int(t),
+            },
+            Ptr { depth, base } => Ptr {
+                depth: depth.saturating_add(1),
+                base,
+            },
+            _ => Ptr {
+                depth: 1,
+                base: Base::Unknown,
+            },
+        },
+        // §6.5.2.2:5 — the callee's return type; `malloc` returns
+        // `void *` (§7.22.3.4) and `free` nothing (§7.22.3.3).
+        ExprKind::Call(sym, _) => match unit.function(*sym) {
+            Some(f) => f.ret_ty(),
+            None if *sym == kw::MALLOC => Ptr {
+                depth: 1,
+                base: Base::Void,
+            },
+            None if *sym == kw::FREE => ValTy::Void,
+            None => Unknown,
+        },
+        // §6.5.17:2 — the right operand's type.
+        ExprKind::Comma(_, b) => ty(*b),
+        // §6.5.3.4:5 — `size_t`, whatever the operand.
+        ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => Int(SIZE_T),
+        // §6.5.4:5 — the named type.
+        ExprKind::Cast(t, _) => ValTy::of(t),
     }
+}
 
-    /// Whether a `sizeof` operand has a statically-sized type: no VLA
-    /// designator anywhere the type computation could see. Conservative —
-    /// anything this walk cannot classify (calls, derefs, assignments in
-    /// the unevaluated operand) keeps the old "not a constant"
-    /// classification, which errs toward the VLA treatment.
-    fn sizeof_operand_is_static(&self, unit: &TranslationUnit, e: ExprId) -> bool {
-        match unit.expr(e).kind {
-            ExprKind::IntLit(_) | ExprKind::SizeofType(_) => true,
-            ExprKind::Slot(slot, _) => !self.vla_slot.get(slot.index()).copied().unwrap_or(true),
-            ExprKind::SizeofExpr(a) => self.sizeof_operand_is_static(unit, a),
-            ExprKind::Unary(_, a) => self.sizeof_operand_is_static(unit, a),
-            // A cast's type is the named type-name — never variably
-            // modified in this subset, whatever the operand was.
-            ExprKind::Cast(_, _) => true,
-            ExprKind::Binary(_, a, b) | ExprKind::LogicalAnd(a, b) | ExprKind::LogicalOr(a, b) => {
-                self.sizeof_operand_is_static(unit, a) && self.sizeof_operand_is_static(unit, b)
-            }
-            ExprKind::Conditional(c, t, f) => {
-                self.sizeof_operand_is_static(unit, c)
-                    && self.sizeof_operand_is_static(unit, t)
-                    && self.sizeof_operand_is_static(unit, f)
-            }
-            _ => false,
-        }
+/// The type of `a <op> b` over decayed operand types.
+fn binary(op: BinOp, a: ValTy, b: ValTy) -> ValTy {
+    use BinOp::*;
+    use ValTy::{Int, Ptr, Unknown};
+    match (op, a, b) {
+        // §6.5.8:6, §6.5.9:3 — comparisons yield int.
+        (Lt | Le | Gt | Ge | Eq | Ne, _, _) => Int(IntTy::Int),
+        // §6.5.7:3 — shifts take the promoted *left* operand's type.
+        (Shl | Shr, Int(x), _) => Int(x.promote()),
+        (Shl | Shr, _, _) => Unknown,
+        // §6.5.5:3, §6.5.6:4, §6.5.10–12 — the usual arithmetic
+        // conversions.
+        (_, Int(x), Int(y)) => Int(IntTy::usual_arith(x, y)),
+        // §6.5.6:8 — pointer ± integer keeps the pointer's type.
+        (Add | Sub, p @ Ptr { .. }, Int(_)) | (Add, Int(_), p @ Ptr { .. }) => p,
+        // §6.5.6:9 — a pointer difference is `ptrdiff_t`, `long` on LP64.
+        (Sub, Ptr { .. }, Ptr { .. }) => Int(IntTy::Long),
+        _ => Unknown,
     }
 }
 
@@ -350,7 +429,7 @@ mod tests {
     #[test]
     fn params_and_locals_get_dense_slots() {
         let unit = parse("int f(int a, int b) { int c = a + b; return c; }").unwrap();
-        assert_eq!(unit.functions[0].n_slots, 3);
+        assert_eq!(unit.functions[0].slots.len(), 3);
     }
 
     #[test]
@@ -401,11 +480,11 @@ mod tests {
             .stmts
             .iter()
             .filter_map(|s| match s {
-                Stmt::Decl(d) => Some(d.redeclaration),
+                Stmt::Decl(d) => Some(d.redeclares),
                 _ => None,
             })
             .collect();
-        assert_eq!(redecls, vec![false, true]);
+        assert_eq!(redecls, vec![None, Some(SlotId(0))]);
     }
 
     #[test]
@@ -421,6 +500,68 @@ mod tests {
             })
             .collect();
         assert_eq!(consts, vec![true, false]);
+    }
+
+    #[test]
+    fn every_expression_is_typed_once() {
+        use crate::ast::{Base, ValTy};
+        // The operands of `return`'s comma chain, in source order.
+        let unit = parse(
+            "int main(void) { int x = 1; int *p = &x; int a[3]; \
+             return (*p, p - p, x = 5, a, a + 1, &a, 1 ? p : 0, malloc(4), sizeof a); }",
+        )
+        .unwrap();
+        let mut operands = Vec::new();
+        let ret = unit
+            .stmts
+            .iter()
+            .find_map(|s| match s {
+                Stmt::Return(Some(e), _) => Some(*e),
+                _ => None,
+            })
+            .unwrap();
+        let mut e = ret;
+        while let ExprKind::Comma(l, r) = unit.expr(e).kind {
+            operands.push(r);
+            e = l;
+        }
+        operands.push(e);
+        operands.reverse();
+        let int_ptr = ValTy::Ptr {
+            depth: 1,
+            base: Base::Int(IntTy::Int),
+        };
+        let types: Vec<ValTy> = operands.iter().map(|&e| unit.ty(e)).collect();
+        assert_eq!(
+            types,
+            [
+                ValTy::Int(IntTy::Int),
+                ValTy::Int(IntTy::Long),
+                ValTy::Int(IntTy::Int),
+                ValTy::Array {
+                    depth: 0,
+                    base: Base::Int(IntTy::Int),
+                    len: NonZeroU32::new(3),
+                },
+                int_ptr,
+                ValTy::Ptr {
+                    depth: 1,
+                    base: Base::Unknown,
+                },
+                int_ptr,
+                ValTy::Ptr {
+                    depth: 1,
+                    base: Base::Void,
+                },
+                ValTy::Int(SIZE_T),
+            ]
+        );
+        // The whole comma expression decays its last operand's type.
+        assert_eq!(unit.ty(ret), ValTy::Int(SIZE_T));
+        // The slot table records what each slot was declared as.
+        let slots = &unit.functions[0].slots;
+        assert_eq!(slots[1].ty, int_ptr);
+        assert!(matches!(slots[2].ty, ValTy::Array { .. }));
     }
 
     #[test]

@@ -108,3 +108,27 @@ fn ub_diagnostics_match_across_engines_in_detail() {
         assert_parity(src, "diagnostic program");
     }
 }
+
+#[test]
+fn sizeof_and_conditional_types_agree_across_engines() {
+    // Both engines read `sizeof` and `?:` types from the one type table;
+    // each program returns 1 when every size and value matches LP64.
+    const PROGRAMS: &[&str] = &[
+        "int main(void) { int v = 3; int *p = &v; long *l = malloc(16); \
+         return sizeof *p == 4u && sizeof p[0] == 4u && sizeof *l == 8u \
+         && sizeof l[1] == 8u; }",
+        "int main(void) { int a[2]; int *q = a; return sizeof(q - q) == 8u; }",
+        "int main(void) { int x = 1; char c = 2; \
+         return sizeof(x = 5) == 4u && sizeof(c += 1) == 1u && x == 1 && c == 2; }",
+        "int main(void) { int n = 3; long v[n]; return sizeof v == 24u && sizeof v[0] == 8u; }",
+        "int main(void) { int v = -1; int *p = &v; \
+         return ((1 ? *p : 0u) >> 31) == 1 && sizeof(1 ? *p : 0L) == 8u; }",
+    ];
+    for src in PROGRAMS {
+        let (outcome, _) = run(src, Engine::Tree, "sizeof program");
+        assert_eq!(outcome.exit_code(), Some(1), "{src}");
+        assert_parity(src, "sizeof program");
+    }
+    // The checker limitation for an untyped operand is identical too.
+    assert_parity("int main(void) { return sizeof ghost; }", "untyped sizeof");
+}
