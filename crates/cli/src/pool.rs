@@ -14,6 +14,7 @@ use crate::check::{check_file, CheckOptions, Checked, PhaseStats};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -24,6 +25,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
+    /// Jobs whose closure panicked (and whose worker carried on).
+    panics: AtomicU64,
 }
 
 struct QueueState {
@@ -48,6 +51,7 @@ impl WorkerPool {
                 closed: false,
             }),
             available: Condvar::new(),
+            panics: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -68,7 +72,9 @@ impl WorkerPool {
                     // A panicking job must not take its worker down: its
                     // captured reply channels drop (the submitter sees a
                     // disconnect) and the worker serves the next job.
-                    let _ = panic::catch_unwind(AssertUnwindSafe(job));
+                    if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+                        shared.panics.fetch_add(1, Ordering::Relaxed);
+                    }
                 })
             })
             .collect();
@@ -80,6 +86,12 @@ impl WorkerPool {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    }
+
+    /// Jobs that panicked so far. A job counts once its worker has
+    /// unwound it, which is just after its captured channels dropped.
+    pub fn panics(&self) -> u64 {
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Enqueue a job. Panics if called after [`WorkerPool::join`].
@@ -204,6 +216,8 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         pool.submit(move || tx.send(7).expect("receiver alive"));
         assert_eq!(rx.recv(), Ok(7));
+        // The worker counted the panic before it took the next job.
+        assert_eq!(pool.panics(), 1);
         pool.join();
     }
 }

@@ -334,8 +334,9 @@ impl ServeCore {
         (checked, cache)
     }
 
-    /// The `{"cmd": "stats"}` / `GET /stats` body (one JSON object).
-    pub fn stats_json(&self) -> String {
+    /// The `{"cmd": "stats"}` / `GET /stats` body (one JSON object);
+    /// `panics` is the worker pool's count of contained panics.
+    pub fn stats_json(&self, panics: u64) -> String {
         let (results_len, results_cap, results_stats) = {
             let c = self.results.lock().expect("result cache poisoned");
             (c.len(), c.capacity(), c.stats())
@@ -353,8 +354,8 @@ impl ServeCore {
         };
         format!(
             "{{\"type\": \"stats\", \"requests\": {}, \"full_hits\": {}, \"warm_hits\": {}, \
-             \"cold_misses\": {}, \"uncached\": {}, \"workers\": {}, \"uptime_ms\": {}, \
-             \"results\": {}, \"units\": {}}}",
+             \"cold_misses\": {}, \"uncached\": {}, \"panics\": {panics}, \"workers\": {}, \
+             \"uptime_ms\": {}, \"results\": {}, \"units\": {}}}",
             self.requests.load(Ordering::Relaxed),
             self.full_hits.load(Ordering::Relaxed),
             self.warm_hits.load(Ordering::Relaxed),
@@ -472,10 +473,10 @@ enum Reply {
 /// The stdin-JSONL request loop. Replies print in request order: the
 /// printer thread drains one FIFO of [`Reply`]s, waiting on each check
 /// in turn. Returns once every queued reply has printed.
-fn stdin_loop(core: &Arc<ServeCore>, pool: &WorkerPool) {
+fn stdin_loop(core: &Arc<ServeCore>, pool: &Arc<WorkerPool>) {
     let (tx, rx) = mpsc::channel::<Reply>();
     let printer = {
-        let core = Arc::clone(core);
+        let (core, pool) = (Arc::clone(core), Arc::clone(pool));
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
             for reply in rx {
@@ -486,7 +487,7 @@ fn stdin_loop(core: &Arc<ServeCore>, pool: &WorkerPool) {
                         Err(_) => error_jsonl(None, "check failed: worker stopped"),
                     },
                     Reply::Stats(taken) => {
-                        let line = core.stats_json();
+                        let line = core.stats_json(pool.panics());
                         let _ = taken.send(());
                         line
                     }
@@ -657,7 +658,7 @@ fn handle_connection(
                 }
             }
             ("GET", "/stats") => {
-                let body = format!("{}\n", core.stats_json());
+                let body = format!("{}\n", core.stats_json(pool.panics()));
                 write_http(&mut writer, 200, "application/json", &[], body.as_bytes())?;
             }
             ("GET", "/health") => {

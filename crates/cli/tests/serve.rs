@@ -376,6 +376,33 @@ fn serve_error_envelopes() {
     assert_eq!(str_field(&responses[3], "verdict"), "defined");
 }
 
+/// A program that leaks past the engine's total heap budget stops with
+/// a located checker limitation, and the daemon answers the next
+/// request. `stats` reports no contained panic.
+#[test]
+fn serve_survives_a_heap_exhausting_program() {
+    let leak = "int main(void) {\\n  int i = 0;\\n  while (i < 3000) {\\n    \
+                malloc(1000000);\\n    i++;\\n  }\\n  return 0;\\n}\\n";
+    let input = format!(
+        "{{\"source\": \"{leak}\", \"id\": 1}}\n\
+         {{\"path\": \"examples/defined.c\", \"id\": 2}}\n\
+         {{\"cmd\": \"stats\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n"
+    );
+    let responses = serve(&["--jobs", "1"], &input);
+    assert_eq!(str_field(&responses[0], "verdict"), "error");
+    assert_eq!(num_field(&responses[0], "exit"), 2);
+    assert_eq!(
+        str_field(&responses[0], "stderr"),
+        "<request>.c: checker limitation at 4:5: \
+         malloc(1000000) exceeds the engine's memory budget\n"
+    );
+    assert_eq!(num_field(&responses[1], "id"), 2);
+    assert_eq!(str_field(&responses[1], "verdict"), "defined");
+    assert_eq!(str_field(&responses[2], "type"), "stats");
+    assert_eq!(num_field(&responses[2], "panics"), 0);
+}
+
 /// A stdin line longer than the 64 MiB request cap gets an in-order
 /// error envelope; the daemon discards it through its newline and
 /// answers the next request.
@@ -582,6 +609,7 @@ fn http_matches_one_shot_and_shuts_down() {
     assert_eq!(num_field(&stats, "requests"), 6);
     assert_eq!(num_field(&stats, "full_hits"), 3);
     assert_eq!(num_field(&stats, "cold_misses"), 3);
+    assert_eq!(num_field(&stats, "panics"), 0);
 
     let health = daemon.http("GET", "/health", "");
     assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));

@@ -391,6 +391,9 @@ pub struct Decl {
 /// What a frame slot was declared as, recorded by the resolver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotTy {
+    /// The identifier the slot was declared with, for diagnostics that
+    /// name the object.
+    pub name: Symbol,
     /// The declared type: a scalar, pointer or `void` object, or an
     /// undecayed [`ValTy::Array`].
     pub ty: ValTy,
@@ -478,15 +481,16 @@ pub struct Function {
     pub body: Vec<StmtId>,
     /// Position of the function name in its definition.
     pub loc: SourceLoc,
-    /// The declared type of every frame slot (parameters first, then
-    /// declarations), filled by the resolution pass; its length is the
-    /// frame size.
+    /// The spelling and declared type of every frame slot (parameters
+    /// first, then declarations), filled by the resolution pass; its
+    /// length is the frame size.
     pub slots: Vec<SlotTy>,
     /// Labels defined in the body (`name: …`), in source order, collected
     /// by the resolution pass for the translation-phase analyzer.
     pub labels: Vec<(Symbol, SourceLoc)>,
     /// `goto` targets appearing in the body, in source order, collected
-    /// by the resolution pass for the translation-phase analyzer.
+    /// by the resolution pass for the translation-phase analyzer and the
+    /// compiler.
     pub gotos: Vec<(Symbol, SourceLoc)>,
 }
 
@@ -565,11 +569,14 @@ impl TranslationUnit {
 
     /// Look up a function by interned name.
     pub fn function(&self, name: Symbol) -> Option<&Function> {
-        self.func_by_symbol
-            .get(name.index())
-            .copied()
-            .flatten()
+        self.function_index(name)
             .map(|i| &self.functions[i as usize])
+    }
+
+    /// The index in [`TranslationUnit::functions`] that a call to `name`
+    /// reaches.
+    pub(crate) fn function_index(&self, name: Symbol) -> Option<u32> {
+        self.func_by_symbol.get(name.index()).copied().flatten()
     }
 
     /// Look up a function by spelling (convenience for tests and tools).

@@ -30,7 +30,6 @@
 use crate::ast::{BinOp, ExprId, StmtId, UnaryOp};
 use crate::ctype::{CInt, IntTy};
 use crate::eval::PointeeTy;
-use crate::intern::Symbol;
 use cundef_ub::{SourceLoc, UbError};
 
 // `goto` is compiled to a statically patched jump; a function whose
@@ -465,9 +464,6 @@ pub(crate) struct FnCode {
     pub start: Pc,
     /// One past the last op (falling off it is reaching the `}`).
     pub end: Pc,
-    /// Slot spelling table (`SlotId` index → identifier), for slot-op
-    /// diagnostics.
-    pub slot_syms: Vec<Symbol>,
     /// The function body runs through the tree-walker even under the
     /// bytecode engine: its gotos interact with tree-executed regions
     /// (a label or `goto` under a `switch`), which a static jump cannot

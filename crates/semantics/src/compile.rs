@@ -22,11 +22,17 @@
 //!   non-`_Bool` slots get single-word fused loads/stores whose guards
 //!   (bound, alive, fully-initialized, in-range) fail over to the
 //!   generic path *before* any observable action.
+//! - **One expression lowering**: every full expression lowers through
+//!   the value lowering (`full_value`). Statement and condition contexts
+//!   only rewrite its tail — a root store or `++`/`--` of a slot
+//!   discards its value inside its own op, a lone fused compare becomes
+//!   a compare-and-branch — so the fused store and inc/dec paths exist
+//!   once, whatever the context.
 //! - **Static goto**: labels and gotos compile to jump-patched scope
 //!   transitions. A function whose gotos could interact with a
-//!   tree-executed region (it contains both `goto` and `switch`) is
-//!   marked `FnCode::tree_only` and executes entirely through the
-//!   tree-walker under either engine.
+//!   tree-executed region (the resolver recorded a `goto` and the body
+//!   holds a `switch`) is marked `FnCode::tree_only` and executes
+//!   entirely through the tree-walker under either engine.
 
 use crate::ast::{
     BinOp, Decl, ExprId, ExprKind, Function, Stmt, StmtId, TranslationUnit, Ty, UnaryOp, ValTy,
@@ -91,21 +97,21 @@ struct Bail;
 
 type CResult = Result<Shape, Bail>;
 
-/// One pending `break`/`continue`/loop context.
+/// One enclosing loop's pending `break`/`continue` jumps, patched when
+/// the loop's end and continue target (`while`: the condition; `for`:
+/// the step) are known.
 struct LoopCtx {
     /// `path` length just outside the loop statement (a `break` unwinds
     /// to here).
     break_path_len: usize,
     /// `path` length a `continue` keeps (inside the `for`'s own scope).
     cont_path_len: usize,
-    /// Continue target when already known (`while`: the condition).
-    cont_pc: Option<Pc>,
-    /// `Jump` ops to patch to the continue target (`for`: the step).
-    pending_cont: Vec<usize>,
+    /// `Jump` ops to patch to the continue target.
+    conts: Vec<usize>,
     /// `Jump` ops to patch to just past the loop.
     breaks: Vec<usize>,
     /// `execs` entries whose `cont` pc awaits the continue target.
-    pending_cont_execs: Vec<usize>,
+    cont_execs: Vec<usize>,
 }
 
 /// A `goto` site awaiting its patch.
@@ -123,7 +129,6 @@ struct FnCompiler<'a> {
     unit: &'a TranslationUnit,
     func: &'a Function,
     code: &'a mut CodeUnit,
-    slot_syms: Vec<Symbol>,
     /// Scope ids entered since the frame base, outermost first.
     path: Vec<u32>,
     next_scope: u32,
@@ -150,34 +155,17 @@ impl<'a> FnCompiler<'a> {
         idx: u32,
         code: &'a mut CodeUnit,
     ) -> FnCode {
-        let mut slot_syms = vec![func.name; func.slots.len()];
-        for (i, p) in func.params.iter().enumerate() {
-            if i < slot_syms.len() {
-                slot_syms[i] = p.name;
-            }
-        }
-        let mut has_goto = false;
-        let mut has_switch = false;
-        for &s in &func.body {
-            scan_stmt(unit, s, &mut slot_syms, &mut has_goto, &mut has_switch);
-        }
-        if has_goto && has_switch {
+        if !func.gotos.is_empty() && any_stmt(unit, func, |s| matches!(s, Stmt::Switch(..))) {
             // A goto could target a label under a switch (or originate
             // under one); the whole function stays on the tree-walker.
             return FnCode {
                 start: 0,
                 end: 0,
-                slot_syms,
                 tree_only: true,
             };
         }
         let tail_self = {
-            let resolves_here = unit
-                .func_by_symbol
-                .get(func.name.index())
-                .copied()
-                .flatten()
-                == Some(idx);
+            let resolves_here = unit.function_index(func.name) == Some(idx);
             let scalar_params = func.slots[..func.params.len()]
                 .iter()
                 .all(|p| matches!(p.ty, ValTy::Int(t) if t != IntTy::Bool));
@@ -189,7 +177,6 @@ impl<'a> FnCompiler<'a> {
             unit,
             func,
             code,
-            slot_syms: slot_syms.clone(),
             path: Vec::new(),
             next_scope: 0,
             loops: Vec::new(),
@@ -230,7 +217,6 @@ impl<'a> FnCompiler<'a> {
         FnCode {
             start,
             end,
-            slot_syms,
             tree_only: false,
         }
     }
@@ -252,14 +238,21 @@ impl<'a> FnCompiler<'a> {
         self.code.locs.truncate(mark);
     }
 
-    fn pool(&mut self, c: CInt) -> u32 {
-        self.code.pool.push(c);
-        (self.code.pool.len() - 1) as u32
+    /// Emit an engine-limit stop with `msg` at `loc`. It terminates, so
+    /// it stands for a pushed value.
+    fn fail(&mut self, msg: String, loc: SourceLoc) -> CResult {
+        let m = self.code.fails.add(msg);
+        self.emit_value(Op::FailUnsupported(m), loc)
     }
 
-    fn fail_msg(&mut self, msg: String) -> u32 {
-        self.code.fails.push(msg);
-        (self.code.fails.len() - 1) as u32
+    /// Emit a prebuilt undefined-behavior stop of `kind` at `loc`.
+    fn fail_ub(&mut self, kind: UbKind, detail: String, loc: SourceLoc) -> CResult {
+        let err = UbError::new(kind)
+            .at(loc)
+            .in_function(self.unit.interner.resolve(self.func.name))
+            .with_detail(detail);
+        let i = self.code.ubs.add(err);
+        self.emit_value(Op::FailUb(i), loc)
     }
 
     /// What loads and stores can assume about a slot's object: its
@@ -272,9 +265,64 @@ impl<'a> FnCompiler<'a> {
             .map_or(ValTy::Unknown, |s| s.ty)
     }
 
+    /// The identifier `slot` was declared with.
+    fn slot_name(&self, slot: u32) -> &'a str {
+        let unit = self.unit;
+        unit.interner.resolve(self.func.slots[slot as usize].name)
+    }
+
     fn expr_loc(&self, e: ExprId) -> SourceLoc {
         self.unit.expr(e).loc
     }
+}
+
+/// A side table of a [`CodeUnit`], indexed by op operands.
+trait Table<T> {
+    /// Append `x`; returns its index.
+    fn add(&mut self, x: T) -> u32;
+}
+
+impl<T> Table<T> for Vec<T> {
+    fn add(&mut self, x: T) -> u32 {
+        self.push(x);
+        u32::try_from(self.len() - 1).expect("side table fits u32")
+    }
+}
+
+/// Whether `pred` holds for any statement of `func`'s body, nested
+/// ones included.
+fn any_stmt(unit: &TranslationUnit, func: &Function, mut pred: impl FnMut(&Stmt) -> bool) -> bool {
+    let mut stmts: Vec<StmtId> = func.body.clone();
+    while let Some(s) = stmts.pop() {
+        let stmt = unit.stmt(s);
+        if pred(stmt) {
+            return true;
+        }
+        match stmt {
+            Stmt::If(_, t, f) => {
+                stmts.push(*t);
+                stmts.extend(*f);
+            }
+            Stmt::For(init, _, _, body) => {
+                stmts.extend(*init);
+                stmts.push(*body);
+            }
+            Stmt::Block(body, _) => stmts.extend(body.iter().copied()),
+            Stmt::While(_, s)
+            | Stmt::Switch(_, s, _)
+            | Stmt::Case(_, s, _)
+            | Stmt::Default(s, _)
+            | Stmt::Label(_, s, _) => stmts.push(*s),
+            Stmt::Decl(_)
+            | Stmt::Expr(_)
+            | Stmt::Return(..)
+            | Stmt::Break(_)
+            | Stmt::Continue(_)
+            | Stmt::Goto(..)
+            | Stmt::Empty(_) => {}
+        }
+    }
+    false
 }
 
 /// Whether any `&` in `func`'s body could take a parameter's address.
@@ -286,10 +334,9 @@ impl<'a> FnCompiler<'a> {
 /// pointer *to* a scalar parameter's own object.
 fn body_addresses_param(unit: &TranslationUnit, func: &Function) -> bool {
     let nparams = func.params.len();
-    let mut stmts: Vec<StmtId> = func.body.clone();
-    let mut exprs: Vec<ExprId> = Vec::new();
-    while let Some(s) = stmts.pop() {
-        match unit.stmt(s) {
+    any_stmt(unit, func, |stmt| {
+        let mut exprs: Vec<ExprId> = Vec::new();
+        match stmt {
             Stmt::Decl(d) => {
                 exprs.extend(d.array_size);
                 exprs.extend(d.init);
@@ -297,30 +344,17 @@ fn body_addresses_param(unit: &TranslationUnit, func: &Function) -> bool {
                     exprs.extend(inits.iter().copied());
                 }
             }
-            Stmt::Expr(e) => exprs.push(*e),
-            Stmt::If(c, t, f) => {
-                exprs.push(*c);
-                stmts.push(*t);
-                stmts.extend(*f);
-            }
-            Stmt::While(c, b) => {
-                exprs.push(*c);
-                stmts.push(*b);
-            }
-            Stmt::For(init, cond, step, body) => {
-                stmts.extend(*init);
+            Stmt::Expr(e)
+            | Stmt::If(e, ..)
+            | Stmt::While(e, _)
+            | Stmt::Switch(e, ..)
+            | Stmt::Case(e, ..) => exprs.push(*e),
+            Stmt::For(_, cond, step, _) => {
                 exprs.extend(*cond);
                 exprs.extend(*step);
-                stmts.push(*body);
             }
             Stmt::Return(e, _) => exprs.extend(*e),
-            Stmt::Block(body, _) => stmts.extend(body.iter().copied()),
-            Stmt::Switch(e, s, _) | Stmt::Case(e, s, _) => {
-                exprs.push(*e);
-                stmts.push(*s);
-            }
-            Stmt::Default(s, _) | Stmt::Label(_, s, _) => stmts.push(*s),
-            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Goto(..) | Stmt::Empty(_) => {}
+            _ => {}
         }
         while let Some(e) = exprs.pop() {
             match &unit.expr(e).kind {
@@ -360,57 +394,8 @@ fn body_addresses_param(unit: &TranslationUnit, func: &Function) -> bool {
                 ExprKind::Call(_, args) => exprs.extend(args.iter().copied()),
             }
         }
-    }
-    false
-}
-
-/// Prepass: slot spellings from every declaration, plus the
-/// goto/switch census that decides `tree_only`.
-fn scan_stmt(
-    unit: &TranslationUnit,
-    s: StmtId,
-    syms: &mut [Symbol],
-    has_goto: &mut bool,
-    has_switch: &mut bool,
-) {
-    match unit.stmt(s) {
-        Stmt::Decl(d) => {
-            if let Some(sym) = syms.get_mut(d.slot.index()) {
-                *sym = d.name;
-            }
-        }
-        Stmt::Goto(_, _) => *has_goto = true,
-        Stmt::Switch(_, body, _) => {
-            *has_switch = true;
-            scan_stmt(unit, *body, syms, has_goto, has_switch);
-        }
-        Stmt::If(_, t, e) => {
-            scan_stmt(unit, *t, syms, has_goto, has_switch);
-            if let Some(e) = e {
-                scan_stmt(unit, *e, syms, has_goto, has_switch);
-            }
-        }
-        Stmt::While(_, body) => scan_stmt(unit, *body, syms, has_goto, has_switch),
-        Stmt::For(init, _, _, body) => {
-            if let Some(i) = init {
-                scan_stmt(unit, *i, syms, has_goto, has_switch);
-            }
-            scan_stmt(unit, *body, syms, has_goto, has_switch);
-        }
-        Stmt::Block(items, _) => {
-            for &i in items {
-                scan_stmt(unit, i, syms, has_goto, has_switch);
-            }
-        }
-        Stmt::Case(_, inner, _) | Stmt::Default(inner, _) | Stmt::Label(_, inner, _) => {
-            scan_stmt(unit, *inner, syms, has_goto, has_switch)
-        }
-        Stmt::Expr(_)
-        | Stmt::Return(_, _)
-        | Stmt::Break(_)
-        | Stmt::Continue(_)
-        | Stmt::Empty(_) => {}
-    }
+        false
+    })
 }
 
 /// Is `e` free of updates (assignment, `++`/`--`) anywhere in its
@@ -624,8 +609,7 @@ impl<'a> FnCompiler<'a> {
                 return;
             }
         }
-        let idx = u32::try_from(self.code.sweeps.len()).expect("sweep table fits u32");
-        self.code.sweeps.push(FusedSweep {
+        let sweep = FusedSweep {
             k_slot: cand.k_slot,
             d_slot: cand.d_slot,
             src: cand.src,
@@ -633,7 +617,8 @@ impl<'a> FnCompiler<'a> {
             per_iter_ops: (jump_pc - cond_pc as usize + 1) as u64,
             tail_ops: (exit_patch - cond_pc as usize + 1) as u64,
             exit: normal_exit,
-        });
+        };
+        let idx = self.code.sweeps.add(sweep);
         self.code.ops[at] = Op::ByteSweep(idx);
     }
 }
@@ -667,23 +652,12 @@ impl<'a> FnCompiler<'a> {
             Stmt::While(cond, body) => {
                 let cond_pc = self.pc();
                 let exit_patch = self.cond(*cond);
-                self.loops.push(LoopCtx {
-                    break_path_len: self.path.len(),
-                    cont_path_len: self.path.len(),
-                    cont_pc: Some(cond_pc),
-                    pending_cont: Vec::new(),
-                    breaks: Vec::new(),
-                    pending_cont_execs: Vec::new(),
-                });
+                self.enter_loop(self.path.len());
                 self.stmt(*body);
                 self.emit(Op::Jump(cond_pc), self.expr_loc(*cond));
                 let end = self.pc();
                 self.patch_branch(exit_patch, end);
-                let ctx = self.loops.pop().expect("pushed above");
-                for b in ctx.breaks {
-                    self.code.ops[b] = Op::Jump(end);
-                }
-                debug_assert!(ctx.pending_cont.is_empty() && ctx.pending_cont_execs.is_empty());
+                self.exit_loop(end, cond_pc);
             }
             Stmt::For(init, cond, step, body) => {
                 let loc = stmt_loc(self.unit, self.unit.stmt(s));
@@ -705,14 +679,7 @@ impl<'a> FnCompiler<'a> {
                     .map(|cand| (self.emit(Op::Nop, loc), cand));
                 let cond_pc = self.pc();
                 let exit_patch = cond.map(|c| self.cond(c));
-                self.loops.push(LoopCtx {
-                    break_path_len,
-                    cont_path_len: self.path.len(),
-                    cont_pc: None,
-                    pending_cont: Vec::new(),
-                    breaks: Vec::new(),
-                    pending_cont_execs: Vec::new(),
-                });
+                self.enter_loop(break_path_len);
                 self.stmt(*body);
                 let step_pc = self.pc();
                 if let Some(step) = step {
@@ -729,18 +696,7 @@ impl<'a> FnCompiler<'a> {
                 self.emit(Op::ExitScope, loc);
                 self.pop_scope();
                 let end = self.pc();
-                let ctx = self.loops.pop().expect("pushed above");
-                for b in ctx.breaks {
-                    self.code.ops[b] = Op::Jump(end);
-                }
-                for c in ctx.pending_cont {
-                    self.code.ops[c] = Op::Jump(step_pc);
-                }
-                for e in ctx.pending_cont_execs {
-                    if let Some((pops, _)) = self.code.execs[e].cont {
-                        self.code.execs[e].cont = Some((pops, step_pc));
-                    }
-                }
+                self.exit_loop(end, step_pc);
             }
             Stmt::Return(e, loc) => match e {
                 Some(e) => {
@@ -753,49 +709,25 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::RetNone, *loc);
                 }
             },
-            Stmt::Break(loc) => {
-                let pops = match self.loops.last() {
-                    Some(ctx) => (self.path.len() - ctx.break_path_len) as u32,
-                    // A stray `break` bubbles to the function's end like
-                    // a fall-off (the tree-walker's blocks pass the flow
-                    // through to `call`, which treats it as Normal).
-                    None => self.path.len() as u32,
+            Stmt::Break(loc) | Stmt::Continue(loc) => {
+                let is_break = matches!(self.unit.stmt(s), Stmt::Break(_));
+                // A stray `break`/`continue` bubbles to the function's end
+                // like a fall-off (the tree-walker's blocks pass the flow
+                // through to `call`, which treats it as Normal).
+                let keep = match self.loops.last() {
+                    Some(ctx) if is_break => ctx.break_path_len,
+                    Some(ctx) => ctx.cont_path_len,
+                    None => 0,
                 };
+                let pops = (self.path.len() - keep) as u32;
                 if pops > 0 {
                     self.emit(Op::ScopePopN(pops), *loc);
                 }
                 let j = self.emit(Op::Jump(0), *loc);
                 match self.loops.last_mut() {
-                    Some(ctx) => ctx.breaks.push(j),
+                    Some(ctx) if is_break => ctx.breaks.push(j),
+                    Some(ctx) => ctx.conts.push(j),
                     None => self.fn_end_jumps.push(j),
-                }
-            }
-            Stmt::Continue(loc) => {
-                let pops = match self.loops.last() {
-                    Some(ctx) => (self.path.len() - ctx.cont_path_len) as u32,
-                    None => self.path.len() as u32,
-                };
-                if pops > 0 {
-                    self.emit(Op::ScopePopN(pops), *loc);
-                }
-                match self.loops.last() {
-                    Some(ctx) => match ctx.cont_pc {
-                        Some(pc) => {
-                            self.emit(Op::Jump(pc), *loc);
-                        }
-                        None => {
-                            let j = self.emit(Op::Jump(0), *loc);
-                            self.loops
-                                .last_mut()
-                                .expect("checked above")
-                                .pending_cont
-                                .push(j);
-                        }
-                    },
-                    None => {
-                        let j = self.emit(Op::Jump(0), *loc);
-                        self.fn_end_jumps.push(j);
-                    }
                 }
             }
             Stmt::Block(items, loc) => {
@@ -811,32 +743,24 @@ impl<'a> FnCompiler<'a> {
                 // `switch` dispatch stays on the tree-walker: its label
                 // scan, promoted-type case matching, and partial-block
                 // execution are exactly replicated by calling into it.
-                let cont = self.loops.last().map(|ctx| {
-                    let pops = (self.path.len() - ctx.cont_path_len) as u32;
-                    (pops, ctx.cont_pc.unwrap_or(0))
-                });
-                let pending = self.loops.last().is_some_and(|ctx| ctx.cont_pc.is_none());
                 let idx = self.code.execs.len();
+                let depth = self.path.len();
+                let cont = self.loops.last_mut().map(|ctx| {
+                    ctx.cont_execs.push(idx);
+                    ((depth - ctx.cont_path_len) as u32, 0)
+                });
                 self.code.execs.push(ExecInfo {
                     stmt: s,
-                    depth: self.path.len() as u32,
+                    depth: depth as u32,
                     cont,
                 });
-                if pending {
-                    self.loops
-                        .last_mut()
-                        .expect("checked above")
-                        .pending_cont_execs
-                        .push(idx);
-                }
                 self.emit(Op::ExecStmt(idx as u32), *loc);
             }
             // Labels are transparent when reached sequentially; `case`
             // and `default` outside a switch body execute their inner
             // statement like the tree-walker does.
             Stmt::Case(_, inner, _) | Stmt::Default(inner, _) => self.stmt(*inner),
-            Stmt::Label(sym, inner, loc) => {
-                let _ = loc;
+            Stmt::Label(sym, inner, _) => {
                 if !self.labels.iter().any(|(s, _, _)| s == sym) {
                     let pc = self.pc();
                     self.labels.push((*sym, pc, self.path.clone()));
@@ -851,8 +775,7 @@ impl<'a> FnCompiler<'a> {
                         "`goto {}` targets no label in this function",
                         self.unit.interner.resolve(*sym)
                     );
-                    let m = self.fail_msg(msg);
-                    self.emit(Op::FailUnsupported(m), *loc);
+                    let _ = self.fail(msg, *loc);
                     return;
                 }
                 let at = self.emit(Op::Nop, *loc);
@@ -876,33 +799,48 @@ impl<'a> FnCompiler<'a> {
         self.path.pop();
     }
 
-    /// Compile a statement/loop condition: ops that evaluate the full
-    /// expression, then a branch-if-false op whose target the caller
+    fn enter_loop(&mut self, break_path_len: usize) {
+        self.loops.push(LoopCtx {
+            break_path_len,
+            cont_path_len: self.path.len(),
+            conts: Vec::new(),
+            breaks: Vec::new(),
+            cont_execs: Vec::new(),
+        });
+    }
+
+    /// Patch the innermost loop's jumps: `break` to `end`, `continue`
+    /// (also from inside a tree-executed `switch`) to `cont`.
+    fn exit_loop(&mut self, end: Pc, cont: Pc) {
+        let ctx = self.loops.pop().expect("loop entered");
+        for b in ctx.breaks {
+            self.code.ops[b] = Op::Jump(end);
+        }
+        for c in ctx.conts {
+            self.code.ops[c] = Op::Jump(cont);
+        }
+        for e in ctx.cont_execs {
+            if let Some((_, pc)) = &mut self.code.execs[e].cont {
+                *pc = cont;
+            }
+        }
+    }
+
+    /// Compile a statement/loop condition: the full expression's value
+    /// lowering, then a branch-if-false op whose target the caller
     /// patches. Returns the branch op's index.
     fn cond(&mut self, e: ExprId) -> usize {
-        let loc = self.expr_loc(e);
         let mark = self.code.ops.len();
-        if elidable(self.unit, e) && self.expr(e).is_ok() {
-            // Whole-condition fusion: a single fused compare collapses
-            // to one compute-and-branch op.
-            if self.code.ops.len() == mark + 1 {
-                match self.code.ops[mark] {
-                    Op::BinSS(i) => {
-                        self.code.ops[mark] = Op::BrCmpSS(i, 0);
-                        return mark;
-                    }
-                    Op::BinSC(i) => {
-                        self.code.ops[mark] = Op::BrCmpSC(i, 0);
-                        return mark;
-                    }
-                    _ => {}
-                }
-            }
-            return self.emit(Op::BranchFalseSeq(0), loc);
-        }
-        self.rollback(mark);
-        self.emit(Op::EvalFull(e), loc);
-        self.emit(Op::BranchFalseSeq(0), loc)
+        self.full_value(e);
+        // Whole-condition fusion: a lone fused compare collapses to one
+        // compute-and-branch op.
+        let branch = match self.code.ops[mark..] {
+            [Op::BinSS(i)] => Op::BrCmpSS(i, 0),
+            [Op::BinSC(i)] => Op::BrCmpSC(i, 0),
+            _ => return self.emit(Op::BranchFalseSeq(0), self.expr_loc(e)),
+        };
+        self.code.ops[mark] = branch;
+        mark
     }
 
     fn patch_branch(&mut self, at: usize, target: Pc) {
@@ -923,199 +861,70 @@ impl<'a> FnCompiler<'a> {
             || matches!(d.ty, Ty::Void)
             || d.array_size.is_some()
             || d.array_init.is_some();
-        if full {
-            self.emit(Op::DeclFull(s), d.loc);
-            return;
-        }
         match d.init {
+            _ if full => {}
             None => {
                 self.emit(Op::DeclSimple(s), d.loc);
+                return;
             }
-            Some(init) => {
-                if !elidable(self.unit, init) {
-                    self.emit(Op::DeclFull(s), d.loc);
-                    return;
-                }
+            Some(init) if elidable(self.unit, init) => {
                 let mark = self.code.ops.len();
                 self.emit(Op::DeclAlloc(s), d.loc);
-                if self.expr(init).is_err() {
-                    self.rollback(mark);
-                    self.emit(Op::DeclFull(s), d.loc);
+                if self.expr(init).is_ok() {
+                    self.emit(Op::DeclInit(s), self.expr_loc(init));
                     return;
                 }
-                self.emit(Op::DeclInit(s), self.expr_loc(init));
+                self.rollback(mark);
             }
+            Some(_) => {}
         }
+        self.emit(Op::DeclFull(s), d.loc);
     }
 
-    /// Compile a full-expression statement (§6.8:4): the value is
-    /// discarded and the footprint dies at the statement's end.
+    /// Compile a full-expression statement (§6.8:4): the value lowering,
+    /// whose tail then discards the value and ends the footprint. A
+    /// tree fallback, a slot store and a slot `++`/`--` discard inside
+    /// their own op; anything else gets `PopSeq`. Each rewrite is keyed
+    /// on the root expression, whose op is always the last one emitted,
+    /// so no jump inside the expression can target the rewritten tail.
     fn full_stmt(&mut self, e: ExprId) {
-        let loc = self.expr_loc(e);
-        if !elidable(self.unit, e) {
-            self.emit(Op::EvalFullPop(e), loc);
-            return;
-        }
         let mark = self.code.ops.len();
-        if self.full_stmt_fast(e).is_err() {
-            self.rollback(mark);
-            self.emit(Op::EvalFullPop(e), loc);
-        }
-    }
-
-    /// Statement-position lowering of an elidable full expression, with
-    /// store/inc-dec superinstructions that never materialize the value.
-    fn full_stmt_fast(&mut self, e: ExprId) -> Result<(), Bail> {
-        let node = self.unit.expr(e);
-        let loc = node.loc;
-        match &node.kind {
-            ExprKind::Assign(place, op, rhs) => {
-                match &self.unit.expr(*place).kind {
-                    ExprKind::Slot(slot, _) => {
-                        let place_loc = self.expr_loc(*place);
-                        match self.slot_ty(slot.0) {
-                            ValTy::Int(t) => {
-                                self.emit(Op::BindCheck(slot.0), place_loc);
-                                self.expr(*rhs)?;
-                                let fast = match op {
-                                    // Compound assignment reads first; a
-                                    // `_Bool` read can trap (§6.2.6.1:5),
-                                    // so it stays on the generic path.
-                                    Some(_) if t == IntTy::Bool => None,
-                                    _ => Some(t),
-                                };
-                                let i = self.code.stores.len() as u32;
-                                self.code.stores.push(FusedStore {
-                                    slot: slot.0,
-                                    fast,
-                                    op: *op,
-                                });
-                                self.emit(Op::AssignSlotPop(i), loc);
-                            }
-                            ValTy::Ptr { .. } => {
-                                self.emit(Op::BindCheck(slot.0), place_loc);
-                                self.expr(*rhs)?;
-                                let i = self.code.stores.len() as u32;
-                                self.code.stores.push(FusedStore {
-                                    slot: slot.0,
-                                    fast: None,
-                                    op: *op,
-                                });
-                                self.emit(Op::AssignSlotPop(i), loc);
-                            }
-                            ValTy::Array { .. } => {
-                                // §6.3.2.1:1 — rejected after the place
-                                // evaluates, before the rhs would.
-                                self.emit(Op::BindCheck(slot.0), place_loc);
-                                let msg = format!(
-                                    "array `{}` is not a modifiable lvalue",
-                                    self.unit.interner.resolve(self.slot_syms[slot.0 as usize])
-                                );
-                                let m = self.fail_msg(msg);
-                                self.emit(Op::FailUnsupported(m), loc);
-                            }
-                            ValTy::Void | ValTy::Unknown => return Err(Bail),
-                        }
-                    }
-                    ExprKind::Deref(x) => {
-                        let deref_loc = self.expr_loc(*place);
-                        self.expr(*x)?;
-                        self.emit(Op::AsPtr, deref_loc);
-                        self.expr(*rhs)?;
-                        self.emit(self.store_op(*op), loc);
-                        self.emit(Op::PopSeq, loc);
-                    }
-                    ExprKind::Index(b, i) => {
-                        let index_loc = self.expr_loc(*place);
-                        self.index_base(*b, index_loc)?;
-                        self.expr(*i)?;
-                        self.emit(Op::IndexPlace, index_loc);
-                        self.expr(*rhs)?;
-                        self.emit(self.store_op(*op), loc);
-                        self.emit(Op::PopSeq, loc);
-                    }
-                    ExprKind::Ident(_) => return Err(Bail),
-                    _ => {
-                        let place_loc = self.expr_loc(*place);
-                        let m = self.fail_msg("expression is not an lvalue".into());
-                        self.emit(Op::FailUnsupported(m), place_loc);
-                    }
+        self.full_value(e);
+        let last = self.code.ops.len() - 1;
+        let loc = self.expr_loc(e);
+        match (self.code.ops[last], &self.unit.expr(e).kind) {
+            (Op::EvalFull(x), _) if last == mark => self.code.ops[last] = Op::EvalFullPop(x),
+            (Op::AssignSlot(i), ExprKind::Assign(..)) => self.code.ops[last] = Op::AssignSlotPop(i),
+            (
+                Op::IncDec(delta, _),
+                ExprKind::PreIncDec(place, _) | ExprKind::PostIncDec(place, _),
+            ) => {
+                if let ExprKind::Slot(slot, _) = self.unit.expr(*place).kind {
+                    // `SlotPlace(slot), IncDec` fuses into one op.
+                    let fast = match self.slot_ty(slot.0) {
+                        ValTy::Int(t) if t != IntTy::Bool => Some(t),
+                        _ => None,
+                    };
+                    debug_assert!(matches!(self.code.ops[last - 1], Op::SlotPlace(_)));
+                    let place_loc = self.code.locs[last - 1];
+                    self.pop_ops(2);
+                    let i = self.code.incdecs.add(FusedIncDec {
+                        slot: slot.0,
+                        fast,
+                        delta,
+                        place_loc,
+                    });
+                    self.emit(Op::IncDecSlotStmt(i), loc);
+                } else {
+                    // The value is discarded, so both spellings are the
+                    // prefix form.
+                    self.code.ops[last] = Op::IncDec(delta, false);
+                    self.emit(Op::PopSeq, loc);
                 }
-                Ok(())
-            }
-            ExprKind::PreIncDec(place, delta) | ExprKind::PostIncDec(place, delta) => {
-                match &self.unit.expr(*place).kind {
-                    ExprKind::Slot(slot, _) => {
-                        let place_loc = self.expr_loc(*place);
-                        match self.slot_ty(slot.0) {
-                            ValTy::Int(t) => {
-                                let i = self.code.incdecs.len() as u32;
-                                self.code.incdecs.push(FusedIncDec {
-                                    slot: slot.0,
-                                    fast: (t != IntTy::Bool).then_some(t),
-                                    delta: *delta,
-                                    place_loc,
-                                });
-                                self.emit(Op::IncDecSlotStmt(i), loc);
-                            }
-                            ValTy::Ptr { .. } => {
-                                let i = self.code.incdecs.len() as u32;
-                                self.code.incdecs.push(FusedIncDec {
-                                    slot: slot.0,
-                                    fast: None,
-                                    delta: *delta,
-                                    place_loc,
-                                });
-                                self.emit(Op::IncDecSlotStmt(i), loc);
-                            }
-                            ValTy::Array { .. } => {
-                                self.emit(Op::BindCheck(slot.0), place_loc);
-                                let msg = format!(
-                                    "array `{}` is not a modifiable lvalue",
-                                    self.unit.interner.resolve(self.slot_syms[slot.0 as usize])
-                                );
-                                let m = self.fail_msg(msg);
-                                self.emit(Op::FailUnsupported(m), loc);
-                            }
-                            ValTy::Void | ValTy::Unknown => return Err(Bail),
-                        }
-                    }
-                    ExprKind::Deref(x) => {
-                        let deref_loc = self.expr_loc(*place);
-                        self.expr(*x)?;
-                        self.emit(Op::AsPtr, deref_loc);
-                        self.emit(Op::IncDec(*delta, false), loc);
-                        self.emit(Op::PopSeq, loc);
-                    }
-                    ExprKind::Index(b, i) => {
-                        let index_loc = self.expr_loc(*place);
-                        self.index_base(*b, index_loc)?;
-                        self.expr(*i)?;
-                        self.emit(Op::IndexPlace, index_loc);
-                        self.emit(Op::IncDec(*delta, false), loc);
-                        self.emit(Op::PopSeq, loc);
-                    }
-                    ExprKind::Ident(_) => return Err(Bail),
-                    _ => {
-                        let place_loc = self.expr_loc(*place);
-                        let m = self.fail_msg("expression is not an lvalue".into());
-                        self.emit(Op::FailUnsupported(m), place_loc);
-                    }
-                }
-                Ok(())
             }
             _ => {
-                self.expr(e)?;
                 self.emit(Op::PopSeq, loc);
-                Ok(())
             }
-        }
-    }
-
-    fn store_op(&self, op: Option<BinOp>) -> Op {
-        match op {
-            None => Op::StoreSimple,
-            Some(op) => Op::StoreCompound(op),
         }
     }
 
@@ -1137,17 +946,12 @@ impl<'a> FnCompiler<'a> {
     }
 
     /// Compile a full expression whose value the next op consumes
-    /// (conditions, return values, initializers).
+    /// (return values, and the ops `cond` and `full_stmt` rewrite).
     fn full_value(&mut self, e: ExprId) {
-        let loc = self.expr_loc(e);
-        if !elidable(self.unit, e) {
-            self.emit(Op::EvalFull(e), loc);
-            return;
-        }
         let mark = self.code.ops.len();
-        if self.expr(e).is_err() {
+        if !(elidable(self.unit, e) && self.expr(e).is_ok()) {
             self.rollback(mark);
-            self.emit(Op::EvalFull(e), loc);
+            self.emit(Op::EvalFull(e), self.expr_loc(e));
         }
     }
 
@@ -1167,13 +971,10 @@ impl<'a> FnCompiler<'a> {
         let ExprKind::Call(name, args) = &node.kind else {
             return false;
         };
-        let target = self
-            .unit
-            .func_by_symbol
-            .get(name.index())
-            .copied()
-            .flatten();
-        if target != Some(me) || args.len() != self.func.params.len() || !elidable(self.unit, e) {
+        if self.unit.function_index(*name) != Some(me)
+            || args.len() != self.func.params.len()
+            || !elidable(self.unit, e)
+        {
             return false;
         }
         let mark = self.code.ops.len();
@@ -1218,9 +1019,21 @@ fn op_can_push_missing(op: &Op) -> bool {
 impl<'a> FnCompiler<'a> {
     /// Remove the last `n` emitted ops (fusion replaces them).
     fn pop_ops(&mut self, n: usize) {
-        let len = self.code.ops.len() - n;
-        self.code.ops.truncate(len);
-        self.code.locs.truncate(len);
+        self.rollback(self.code.ops.len() - n);
+    }
+
+    /// Emit `op`, whose result is the value of an expression that did
+    /// not fuse.
+    fn emit_value(&mut self, op: Op, loc: SourceLoc) -> CResult {
+        self.emit(op, loc);
+        Ok(Shape::Other)
+    }
+
+    /// Emit the constant `c`.
+    fn constant(&mut self, c: CInt, loc: SourceLoc) -> CResult {
+        let i = self.code.pool.add(c);
+        self.emit(Op::Const(i), loc);
+        Ok(Shape::Const(i))
     }
 
     /// Compile `e` in value position. On success the emitted ops leave
@@ -1237,20 +1050,8 @@ impl<'a> FnCompiler<'a> {
         let node = self.unit.expr(e);
         let loc = node.loc;
         match &node.kind {
-            ExprKind::IntLit(c) => {
-                let i = self.pool(*c);
-                self.emit(Op::Const(i), loc);
-                Ok(Shape::Const(i))
-            }
-            ExprKind::Ident(sym) => {
-                let msg = format!(
-                    "use of undeclared identifier `{}`",
-                    self.unit.interner.resolve(*sym)
-                );
-                let m = self.fail_msg(msg);
-                self.emit(Op::FailUnsupported(m), loc);
-                Ok(Shape::Other)
-            }
+            ExprKind::IntLit(c) => self.constant(*c, loc),
+            ExprKind::Ident(sym) => self.undeclared(*sym, loc),
             ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
                 // `_Bool` reads can trap (§6.2.6.1:5); they stay on the
                 // generic path, which reports the representation.
@@ -1258,10 +1059,7 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::LoadSlotFast(slot.0, t), loc);
                     Ok(Shape::SlotFast(slot.0, t, loc))
                 }
-                _ => {
-                    self.emit(Op::LoadSlot(slot.0), loc);
-                    Ok(Shape::Other)
-                }
+                _ => self.emit_value(Op::LoadSlot(slot.0), loc),
             },
             ExprKind::Unary(op, inner) => {
                 let sh = self.expr(*inner)?;
@@ -1277,13 +1075,10 @@ impl<'a> FnCompiler<'a> {
                     };
                     if let Some(f) = folded {
                         self.pop_ops(1);
-                        let j = self.pool(f);
-                        self.emit(Op::Const(j), loc);
-                        return Ok(Shape::Const(j));
+                        return self.constant(f, loc);
                     }
                 }
-                self.emit(Op::Unary(*op), loc);
-                Ok(Shape::Other)
+                self.emit_value(Op::Unary(*op), loc)
             }
             ExprKind::Binary(op, l, r) => {
                 let sl = self.expr(*l)?;
@@ -1294,8 +1089,7 @@ impl<'a> FnCompiler<'a> {
                         Shape::SlotFast(b_slot, b_ty, b_loc),
                     ) => {
                         self.pop_ops(2);
-                        let i = self.code.fused.len() as u32;
-                        self.code.fused.push(FusedBin {
+                        let i = self.code.fused.add(FusedBin {
                             a_slot,
                             a_ty,
                             a_loc,
@@ -1310,8 +1104,7 @@ impl<'a> FnCompiler<'a> {
                     (Shape::SlotFast(a_slot, a_ty, a_loc), Shape::Const(ci)) => {
                         self.pop_ops(2);
                         let b_ty = self.code.pool[ci as usize].ty;
-                        let i = self.code.fused.len() as u32;
-                        self.code.fused.push(FusedBin {
+                        let i = self.code.fused.add(FusedBin {
                             a_slot,
                             a_ty,
                             a_loc,
@@ -1328,16 +1121,11 @@ impl<'a> FnCompiler<'a> {
                         match consteval::arith(*op, a, b) {
                             Ok(c) => {
                                 self.pop_ops(2);
-                                let j = self.pool(c);
-                                self.emit(Op::Const(j), loc);
-                                Ok(Shape::Const(j))
+                                self.constant(c, loc)
                             }
                             // Constant UB (`1 / 0`) still reports at run
                             // time, at this node's loc.
-                            Err(_) => {
-                                self.emit(Op::Binary(*op), loc);
-                                Ok(Shape::Other)
-                            }
+                            Err(_) => self.emit_value(Op::Binary(*op), loc),
                         }
                     }
                     (Shape::SlotFast(a_slot, a_ty, a_loc), Shape::Fused(fi, fc)) => {
@@ -1346,8 +1134,7 @@ impl<'a> FnCompiler<'a> {
                         // operator applications in tree order.
                         let inner_loc = *self.code.locs.last().expect("inner op");
                         self.pop_ops(2);
-                        let j = self.code.fused2.len() as u32;
-                        self.code.fused2.push(Fused2 {
+                        let j = self.code.fused2.add(Fused2 {
                             op: *op,
                             a_slot,
                             a_ty,
@@ -1356,8 +1143,7 @@ impl<'a> FnCompiler<'a> {
                             inner_loc,
                             inner_const: fc,
                         });
-                        self.emit(Op::Bin2SF(j), loc);
-                        Ok(Shape::Other)
+                        self.emit_value(Op::Bin2SF(j), loc)
                     }
                     (Shape::Fused(fi, fc), Shape::Const(ci)) => {
                         // Second-level fusion, constant on the right:
@@ -1365,8 +1151,7 @@ impl<'a> FnCompiler<'a> {
                         // ops are the inner pair and the constant.
                         let inner_loc = self.code.locs[self.code.locs.len() - 2];
                         self.pop_ops(2);
-                        let j = self.code.fused2.len() as u32;
-                        self.code.fused2.push(Fused2 {
+                        let j = self.code.fused2.add(Fused2 {
                             op: *op,
                             a_slot: ci,
                             a_ty: IntTy::Int,
@@ -1375,21 +1160,18 @@ impl<'a> FnCompiler<'a> {
                             inner_loc,
                             inner_const: fc,
                         });
-                        self.emit(Op::Bin2FC(j), loc);
-                        Ok(Shape::Other)
+                        self.emit_value(Op::Bin2FC(j), loc)
                     }
                     (_, Shape::Const(ci)) => {
                         self.pop_ops(1);
-                        self.emit(Op::BinaryC(*op, ci), loc);
-                        Ok(Shape::Other)
+                        self.emit_value(Op::BinaryC(*op, ci), loc)
                     }
                     (_, Shape::Fused(fi, fc)) => {
                         // Left operand stays on the stack; the fused
                         // right pair folds into this op.
                         let inner_loc = *self.code.locs.last().expect("inner op");
                         self.pop_ops(1);
-                        let j = self.code.fused2.len() as u32;
-                        self.code.fused2.push(Fused2 {
+                        let j = self.code.fused2.add(Fused2 {
                             op: *op,
                             a_slot: 0,
                             a_ty: IntTy::Int,
@@ -1398,16 +1180,14 @@ impl<'a> FnCompiler<'a> {
                             inner_loc,
                             inner_const: fc,
                         });
-                        self.emit(Op::Bin2VF(j), loc);
-                        Ok(Shape::Other)
+                        self.emit_value(Op::Bin2VF(j), loc)
                     }
                     (_, Shape::SlotFast(b_slot, b_ty, b_loc)) => {
                         // Left operand stays on the stack; the right
                         // slot load folds in (its descriptor reuses the
                         // `FusedBin` left-operand fields).
                         self.pop_ops(1);
-                        let i = self.code.fused.len() as u32;
-                        self.code.fused.push(FusedBin {
+                        let i = self.code.fused.add(FusedBin {
                             a_slot: b_slot,
                             a_ty: b_ty,
                             a_loc: b_loc,
@@ -1416,27 +1196,18 @@ impl<'a> FnCompiler<'a> {
                             b_loc,
                             op: *op,
                         });
-                        self.emit(Op::BinVS(i), loc);
-                        Ok(Shape::Other)
+                        self.emit_value(Op::BinVS(i), loc)
                     }
-                    _ => {
-                        self.emit(Op::Binary(*op), loc);
-                        Ok(Shape::Other)
-                    }
+                    _ => self.emit_value(Op::Binary(*op), loc),
                 }
             }
-            ExprKind::LogicalAnd(l, r) => {
+            ExprKind::LogicalAnd(l, r) | ExprKind::LogicalOr(l, r) => {
                 self.expr(*l)?;
-                let at = self.emit(Op::AndFalse(0), loc);
-                self.expr(*r)?;
-                self.emit(Op::ToBool01, loc);
-                let end = self.pc();
-                self.patch_branch(at, end);
-                Ok(Shape::Other)
-            }
-            ExprKind::LogicalOr(l, r) => {
-                self.expr(*l)?;
-                let at = self.emit(Op::OrTrue(0), loc);
+                let short = match node.kind {
+                    ExprKind::LogicalAnd(..) => Op::AndFalse(0),
+                    _ => Op::OrTrue(0),
+                };
+                let at = self.emit(short, loc);
                 self.expr(*r)?;
                 self.emit(Op::ToBool01, loc);
                 let end = self.pc();
@@ -1482,47 +1253,29 @@ impl<'a> FnCompiler<'a> {
             ExprKind::Deref(inner) => {
                 self.expr(*inner)?;
                 self.emit(Op::AsPtr, loc);
-                self.emit(Op::ReadThru, loc);
-                Ok(Shape::Other)
+                self.emit_value(Op::ReadThru, loc)
             }
             ExprKind::AddrOf(inner) => self.addr_of(*inner, loc),
             ExprKind::Index(b, i) => {
                 self.index_base(*b, loc)?;
                 self.expr(*i)?;
-                self.emit(Op::IndexRead, loc);
-                Ok(Shape::Other)
+                self.emit_value(Op::IndexRead, loc)
             }
             ExprKind::Call(name, args) => self.call_value(*name, args, loc),
             ExprKind::SizeofType(ty) => match ValTy::of(ty).size_bytes() {
-                Some(n) => {
-                    let i = self.pool(CInt::new(n as i128, SIZE_T));
-                    self.emit(Op::Const(i), loc);
-                    Ok(Shape::Const(i))
-                }
-                None => {
-                    let m = self.fail_msg("`sizeof` applied to the incomplete type `void`".into());
-                    self.emit(Op::FailUnsupported(m), loc);
-                    Ok(Shape::Other)
-                }
+                Some(n) => self.constant(CInt::new(n as i128, SIZE_T), loc),
+                None => self.fail("`sizeof` applied to the incomplete type `void`".into(), loc),
             },
             // The type table sizes every operand but a VLA (whose length
             // is the live object's) and untyped ones (which stop).
             ExprKind::SizeofExpr(inner) => match self.unit.ty(*inner).size_bytes() {
-                Some(n) => {
-                    let i = self.pool(CInt::new(n as i128, SIZE_T));
-                    self.emit(Op::Const(i), loc);
-                    Ok(Shape::Const(i))
-                }
-                None => {
-                    self.emit(Op::SizeofExpr(*inner), loc);
-                    Ok(Shape::Other)
-                }
+                Some(n) => self.constant(CInt::new(n as i128, SIZE_T), loc),
+                None => self.emit_value(Op::SizeofExpr(*inner), loc),
             },
             ExprKind::Cast(ty, inner) => match ty {
                 Ty::Void => {
                     self.expr(*inner)?;
-                    self.emit(Op::CastVoid, loc);
-                    Ok(Shape::Other)
+                    self.emit_value(Op::CastVoid, loc)
                 }
                 Ty::Int(t) => {
                     let sh = self.expr(*inner)?;
@@ -1537,20 +1290,16 @@ impl<'a> FnCompiler<'a> {
                         let (c, impl_defined) = self.code.pool[i as usize].convert(*t);
                         if !impl_defined {
                             self.pop_ops(1);
-                            let j = self.pool(c);
-                            self.emit(Op::Const(j), loc);
-                            return Ok(Shape::Const(j));
+                            return self.constant(c, loc);
                         }
                         // An implementation-defined conversion emits a
                         // note at run time; keep the runtime op.
                     }
-                    self.emit(Op::CastInt(*t), loc);
-                    Ok(Shape::Other)
+                    self.emit_value(Op::CastInt(*t), loc)
                 }
                 Ty::Ptr(p) => {
                     self.expr(*inner)?;
-                    self.emit(Op::CastPtr(pointee_of_ty(p)), loc);
-                    Ok(Shape::Other)
+                    self.emit_value(Op::CastPtr(pointee_of_ty(p)), loc)
                 }
             },
         }
@@ -1561,58 +1310,73 @@ impl<'a> FnCompiler<'a> {
         let in_loc = self.expr_loc(inner);
         match &self.unit.expr(inner).kind {
             ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
-                ValTy::Int(_) | ValTy::Ptr { .. } => {
-                    self.emit(Op::SlotPlace(slot.0), in_loc);
-                    Ok(Shape::Other)
-                }
+                ValTy::Int(_) | ValTy::Ptr { .. } => self.emit_value(Op::SlotPlace(slot.0), in_loc),
                 ValTy::Array { .. } => {
                     // The unbound check fires first (as in `eval_place`),
                     // then the §6.3.2.1:3 no-decay rejection at this loc.
                     self.emit(Op::BindCheck(slot.0), in_loc);
                     let msg = format!(
                         "`&{}` has array-pointer type, which is outside the subset",
-                        self.unit.interner.resolve(self.slot_syms[slot.0 as usize])
+                        self.slot_name(slot.0)
                     );
-                    let m = self.fail_msg(msg);
-                    self.emit(Op::FailUnsupported(m), loc);
-                    Ok(Shape::Other)
+                    self.fail(msg, loc)
                 }
                 ValTy::Void | ValTy::Unknown => Err(Bail),
             },
+            ExprKind::Deref(_) | ExprKind::Index(..) => {
+                self.mem_place(inner)?;
+                Ok(Shape::Other)
+            }
+            ExprKind::Ident(sym) => self.undeclared(*sym, in_loc),
+            _ => self.fail("expression is not an lvalue".into(), in_loc),
+        }
+    }
+
+    /// Leave the pointer designated by the place `*x` or `b[i]` on the
+    /// stack: the shared prefix of `&`, stores and `++`/`--` through
+    /// memory.
+    fn mem_place(&mut self, place: ExprId) -> Result<(), Bail> {
+        let loc = self.expr_loc(place);
+        match &self.unit.expr(place).kind {
             ExprKind::Deref(x) => {
                 self.expr(*x)?;
-                self.emit(Op::AsPtr, in_loc);
-                Ok(Shape::Other)
+                self.emit(Op::AsPtr, loc);
             }
             ExprKind::Index(b, i) => {
-                self.index_base(*b, in_loc)?;
+                self.index_base(*b, loc)?;
                 self.expr(*i)?;
-                self.emit(Op::IndexPlace, in_loc);
-                Ok(Shape::Other)
+                self.emit(Op::IndexPlace, loc);
             }
-            ExprKind::Ident(sym) => {
-                let msg = format!(
-                    "use of undeclared identifier `{}`",
-                    self.unit.interner.resolve(*sym)
-                );
-                let m = self.fail_msg(msg);
-                self.emit(Op::FailUnsupported(m), in_loc);
-                Ok(Shape::Other)
-            }
-            _ => {
-                let m = self.fail_msg("expression is not an lvalue".into());
-                self.emit(Op::FailUnsupported(m), in_loc);
-                Ok(Shape::Other)
-            }
+            other => unreachable!("not a memory place: {other:?}"),
         }
+        Ok(())
+    }
+
+    fn undeclared(&mut self, sym: Symbol, loc: SourceLoc) -> CResult {
+        let msg = format!(
+            "use of undeclared identifier `{}`",
+            self.unit.interner.resolve(sym)
+        );
+        self.fail(msg, loc)
+    }
+
+    /// An update of the array slot `slot` (§6.3.2.1:1): rejected after
+    /// the place evaluates, before anything else would.
+    fn not_modifiable(&mut self, slot: u32, place_loc: SourceLoc, loc: SourceLoc) -> CResult {
+        self.emit(Op::BindCheck(slot), place_loc);
+        let msg = format!(
+            "array `{}` is not a modifiable lvalue",
+            self.slot_name(slot)
+        );
+        self.fail(msg, loc)
     }
 }
 
-// ----- value-position updates and calls -----
+// ----- updates and calls -----
 
 impl<'a> FnCompiler<'a> {
-    /// `place = rhs` / `place op= rhs` in value position: same lowering
-    /// as the statement form, but the store op pushes the stored value.
+    /// `place = rhs` / `place op= rhs`: the store op pushes the stored
+    /// value (`full_stmt` turns a slot store into its discarding form).
     fn assign_value(
         &mut self,
         place: ExprId,
@@ -1620,79 +1384,37 @@ impl<'a> FnCompiler<'a> {
         rhs: ExprId,
         loc: SourceLoc,
     ) -> CResult {
+        let place_loc = self.expr_loc(place);
         match &self.unit.expr(place).kind {
             ExprKind::Slot(slot, _) => {
-                let place_loc = self.expr_loc(place);
-                match self.slot_ty(slot.0) {
-                    ValTy::Int(t) => {
-                        self.emit(Op::BindCheck(slot.0), place_loc);
-                        self.expr(rhs)?;
-                        let fast = match op {
-                            Some(_) if t == IntTy::Bool => None,
-                            _ => Some(t),
-                        };
-                        let i = self.code.stores.len() as u32;
-                        self.code.stores.push(FusedStore {
-                            slot: slot.0,
-                            fast,
-                            op,
-                        });
-                        self.emit(Op::AssignSlot(i), loc);
-                        Ok(Shape::Other)
-                    }
-                    ValTy::Ptr { .. } => {
-                        self.emit(Op::BindCheck(slot.0), place_loc);
-                        self.expr(rhs)?;
-                        let i = self.code.stores.len() as u32;
-                        self.code.stores.push(FusedStore {
-                            slot: slot.0,
-                            fast: None,
-                            op,
-                        });
-                        self.emit(Op::AssignSlot(i), loc);
-                        Ok(Shape::Other)
-                    }
-                    ValTy::Array { .. } => {
-                        self.emit(Op::BindCheck(slot.0), place_loc);
-                        let msg = format!(
-                            "array `{}` is not a modifiable lvalue",
-                            self.unit.interner.resolve(self.slot_syms[slot.0 as usize])
-                        );
-                        let m = self.fail_msg(msg);
-                        self.emit(Op::FailUnsupported(m), loc);
-                        Ok(Shape::Other)
-                    }
-                    ValTy::Void | ValTy::Unknown => Err(Bail),
-                }
-            }
-            ExprKind::Deref(x) => {
-                let deref_loc = self.expr_loc(place);
-                self.expr(*x)?;
-                self.emit(Op::AsPtr, deref_loc);
+                let fast = match self.slot_ty(slot.0) {
+                    // Compound assignment reads first; a `_Bool` read can
+                    // trap (§6.2.6.1:5), so it stays on the generic path.
+                    ValTy::Int(t) if op.is_none() || t != IntTy::Bool => Some(t),
+                    ValTy::Int(_) | ValTy::Ptr { .. } => None,
+                    ValTy::Array { .. } => return self.not_modifiable(slot.0, place_loc, loc),
+                    ValTy::Void | ValTy::Unknown => return Err(Bail),
+                };
+                self.emit(Op::BindCheck(slot.0), place_loc);
                 self.expr(rhs)?;
-                self.emit(self.store_op(op), loc);
-                Ok(Shape::Other)
+                let i = self.code.stores.add(FusedStore {
+                    slot: slot.0,
+                    fast,
+                    op,
+                });
+                self.emit_value(Op::AssignSlot(i), loc)
             }
-            ExprKind::Index(b, i) => {
-                let index_loc = self.expr_loc(place);
-                self.index_base(*b, index_loc)?;
-                self.expr(*i)?;
-                self.emit(Op::IndexPlace, index_loc);
+            ExprKind::Deref(_) | ExprKind::Index(..) => {
+                self.mem_place(place)?;
                 self.expr(rhs)?;
-                self.emit(self.store_op(op), loc);
-                Ok(Shape::Other)
+                self.emit_value(op.map_or(Op::StoreSimple, Op::StoreCompound), loc)
             }
             ExprKind::Ident(_) => Err(Bail),
-            _ => {
-                let place_loc = self.expr_loc(place);
-                let m = self.fail_msg("expression is not an lvalue".into());
-                self.emit(Op::FailUnsupported(m), place_loc);
-                Ok(Shape::Other)
-            }
+            _ => self.fail("expression is not an lvalue".into(), place_loc),
         }
     }
 
-    /// `++place`/`place++` in value position.
+    /// `++place`/`place++`: pushes the new or the old value.
     fn incdec_value(
         &mut self,
         place: ExprId,
@@ -1705,121 +1427,211 @@ impl<'a> FnCompiler<'a> {
             ExprKind::Slot(slot, _) => match self.slot_ty(slot.0) {
                 ValTy::Int(_) | ValTy::Ptr { .. } => {
                     self.emit(Op::SlotPlace(slot.0), place_loc);
-                    self.emit(Op::IncDec(delta, is_post), loc);
-                    Ok(Shape::Other)
+                    self.emit_value(Op::IncDec(delta, is_post), loc)
                 }
-                ValTy::Array { .. } => {
-                    self.emit(Op::BindCheck(slot.0), place_loc);
-                    let msg = format!(
-                        "array `{}` is not a modifiable lvalue",
-                        self.unit.interner.resolve(self.slot_syms[slot.0 as usize])
-                    );
-                    let m = self.fail_msg(msg);
-                    self.emit(Op::FailUnsupported(m), loc);
-                    Ok(Shape::Other)
-                }
+                ValTy::Array { .. } => self.not_modifiable(slot.0, place_loc, loc),
                 ValTy::Void | ValTy::Unknown => Err(Bail),
             },
-            ExprKind::Deref(x) => {
-                self.expr(*x)?;
-                self.emit(Op::AsPtr, place_loc);
-                self.emit(Op::IncDec(delta, is_post), loc);
-                Ok(Shape::Other)
-            }
-            ExprKind::Index(b, i) => {
-                self.index_base(*b, place_loc)?;
-                self.expr(*i)?;
-                self.emit(Op::IndexPlace, place_loc);
-                self.emit(Op::IncDec(delta, is_post), loc);
-                Ok(Shape::Other)
+            ExprKind::Deref(_) | ExprKind::Index(..) => {
+                self.mem_place(place)?;
+                self.emit_value(Op::IncDec(delta, is_post), loc)
             }
             ExprKind::Ident(_) => Err(Bail),
-            _ => {
-                let m = self.fail_msg("expression is not an lvalue".into());
-                self.emit(Op::FailUnsupported(m), place_loc);
-                Ok(Shape::Other)
-            }
+            _ => self.fail("expression is not an lvalue".into(), place_loc),
         }
     }
 
     /// A call: per-argument push ops, then either a direct `Call` (arity
     /// pre-checked at compile time into a `FailUb` when it can never
-    /// match) or the non-function report. `malloc`/`free` keep their
+    /// match) or the non-function report — each after the arguments
+    /// ran, exactly like the tree path. `malloc`/`free` keep their
     /// allocator semantics on the tree path.
     fn call_value(&mut self, name: Symbol, args: &[ExprId], loc: SourceLoc) -> CResult {
-        let target = self
-            .unit
-            .func_by_symbol
-            .get(name.index())
-            .copied()
-            .flatten();
-        let Some(f_idx) = target else {
-            if name == kw::MALLOC || name == kw::FREE {
-                for &a in args {
-                    self.expr(a)?;
-                    let al = self.expr_loc(a);
-                    self.emit(Op::ArgPush, al);
-                }
-                if args.len() != 1 {
-                    // Arity mismatch diagnoses after the arguments ran,
-                    // exactly like the tree path.
-                    let err = UbError::new(UbKind::CallWrongArity)
-                        .at(loc)
-                        .in_function(self.unit.interner.resolve(self.func.name))
-                        .with_detail(format!(
-                            "`{}` takes 1 argument, called with {}",
-                            self.unit.interner.resolve(name),
-                            args.len()
-                        ));
-                    let i = self.code.ubs.len() as u32;
-                    self.code.ubs.push(err);
-                    self.emit(Op::FailUb(i), loc);
-                } else if name == kw::MALLOC {
-                    self.emit(Op::Malloc, loc);
-                } else {
-                    self.emit(Op::Free, loc);
-                }
-                return Ok(Shape::Other);
-            }
-            for &a in args {
-                self.expr(a)?;
-                let al = self.expr_loc(a);
-                self.emit(Op::ArgPush, al);
-            }
-            let err = UbError::new(UbKind::CallNonFunction)
-                .at(loc)
-                .in_function(self.unit.interner.resolve(self.func.name))
-                .with_detail(format!(
-                    "`{}` does not designate a function in this translation unit",
-                    self.unit.interner.resolve(name)
-                ));
-            let i = self.code.ubs.len() as u32;
-            self.code.ubs.push(err);
-            self.emit(Op::FailUb(i), loc);
-            return Ok(Shape::Other);
-        };
         for &a in args {
             self.expr(a)?;
             let al = self.expr_loc(a);
             self.emit(Op::ArgPush, al);
         }
-        let callee = &self.unit.functions[f_idx as usize];
-        if callee.params.len() != args.len() {
-            let err = UbError::new(UbKind::CallWrongArity)
-                .at(loc)
-                .in_function(self.unit.interner.resolve(self.func.name))
-                .with_detail(format!(
-                    "`{}` takes {} argument(s), called with {}",
-                    self.unit.interner.resolve(name),
-                    callee.params.len(),
-                    args.len()
-                ));
-            let i = self.code.ubs.len() as u32;
-            self.code.ubs.push(err);
-            self.emit(Op::FailUb(i), loc);
-        } else {
-            self.emit(Op::Call(f_idx, args.len() as u32), loc);
+        let unit = self.unit;
+        let spelled = unit.interner.resolve(name);
+        let n = args.len();
+        match unit.function_index(name) {
+            Some(f_idx) => {
+                let want = unit.functions[f_idx as usize].params.len();
+                if want != n {
+                    let detail = format!("`{spelled}` takes {want} argument(s), called with {n}");
+                    return self.fail_ub(UbKind::CallWrongArity, detail, loc);
+                }
+                self.emit(Op::Call(f_idx, n as u32), loc);
+            }
+            None if (name == kw::MALLOC || name == kw::FREE) && n != 1 => {
+                let detail = format!("`{spelled}` takes 1 argument, called with {n}");
+                return self.fail_ub(UbKind::CallWrongArity, detail, loc);
+            }
+            None if name == kw::MALLOC => {
+                self.emit(Op::Malloc, loc);
+            }
+            None if name == kw::FREE => {
+                self.emit(Op::Free, loc);
+            }
+            None => {
+                let detail =
+                    format!("`{spelled}` does not designate a function in this translation unit");
+                return self.fail_ub(UbKind::CallNonFunction, detail, loc);
+            }
         }
         Ok(Shape::Other)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+
+    /// `main`'s compiled code for the body `body`.
+    fn main_code(body: &str) -> (CodeUnit, std::ops::Range<usize>) {
+        let unit = parse(&format!(
+            "int f(int a) {{ return a; }} int main(void) {{ {body} }}"
+        ))
+        .expect("test program parses");
+        let code = compile(&unit);
+        let f = &code.funcs[1];
+        let range = f.start as usize..f.end as usize;
+        (code, range)
+    }
+
+    /// The mnemonics `stmt` lowers to after the declarations `decls`.
+    fn stmt_ops(decls: &str, stmt: &str) -> Vec<&'static str> {
+        let (_, before) = main_code(decls);
+        let (code, all) = main_code(&format!("{decls} {stmt}"));
+        code.ops[all.start + before.len()..all.end]
+            .iter()
+            .map(Op::mnemonic)
+            .collect()
+    }
+
+    const DECLS: &str = "int x = 0; int y = 1; int i = 0; int n = 3; \
+                         int a[4]; int *p = &x; _Bool b = 0;";
+
+    #[test]
+    fn slot_stores_discard_inside_the_store_op() {
+        for stmt in ["x = y;", "x += 2;", "p = p + 1;", "p += 1;", "b += 1;"] {
+            let ops = stmt_ops(DECLS, stmt);
+            assert_eq!(ops.first(), Some(&"BindCheck"), "{stmt}: {ops:?}");
+            assert_eq!(ops.last(), Some(&"AssignSlotPop"), "{stmt}: {ops:?}");
+            assert!(!ops.contains(&"PopSeq"), "{stmt}: {ops:?}");
+        }
+        assert_eq!(
+            stmt_ops(DECLS, "x = y;"),
+            ["BindCheck", "LoadSlotFast", "AssignSlotPop"]
+        );
+    }
+
+    #[test]
+    fn slot_incdec_statements_fuse_to_one_op() {
+        for stmt in ["x++;", "++x;", "p--;", "--p;", "b++;"] {
+            assert_eq!(stmt_ops(DECLS, stmt), ["IncDecSlotStmt"], "{stmt}");
+        }
+    }
+
+    #[test]
+    fn stores_through_memory_pop_the_stored_value() {
+        assert_eq!(
+            stmt_ops(DECLS, "*p = y;"),
+            ["LoadSlot", "AsPtr", "LoadSlotFast", "StoreSimple", "PopSeq"]
+        );
+        assert_eq!(
+            stmt_ops(DECLS, "a[i] += 2;"),
+            [
+                "SlotPlace",
+                "LoadSlotFast",
+                "IndexPlace",
+                "Const",
+                "StoreCompound",
+                "PopSeq"
+            ]
+        );
+        assert_eq!(
+            stmt_ops(DECLS, "a[i]++;"),
+            [
+                "SlotPlace",
+                "LoadSlotFast",
+                "IndexPlace",
+                "IncDec",
+                "PopSeq"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_discarded_postfix_update_through_memory_uses_the_prefix_op() {
+        let (_, before) = main_code(DECLS);
+        let (code, all) = main_code(&format!("{DECLS} (*p)++;"));
+        let tail = &code.ops[all.start + before.len()..all.end];
+        assert!(
+            matches!(
+                tail,
+                [Op::LoadSlot(_), Op::AsPtr, Op::IncDec(1, false), Op::PopSeq]
+            ),
+            "{tail:?}"
+        );
+    }
+
+    #[test]
+    fn an_update_below_the_root_falls_back_to_the_tree() {
+        assert_eq!(stmt_ops(DECLS, "x = x++ + 1;"), ["EvalFullPop"]);
+    }
+
+    #[test]
+    fn other_statements_pop_the_value() {
+        assert_eq!(
+            stmt_ops(DECLS, "f(x);"),
+            ["LoadSlotFast", "ArgPush", "Call", "PopSeq"]
+        );
+        assert_eq!(stmt_ops(DECLS, "x + y;"), ["BinSS", "PopSeq"]);
+    }
+
+    #[test]
+    fn a_fused_compare_condition_branches_in_one_op() {
+        let ops = stmt_ops(DECLS, "while (i < n) i++;");
+        assert_eq!(ops, ["BrCmpSS", "IncDecSlotStmt", "Jump"]);
+        let ops = stmt_ops(DECLS, "while (i < 10) i++;");
+        assert_eq!(ops, ["BrCmpSC", "IncDecSlotStmt", "Jump"]);
+        let ops = stmt_ops(DECLS, "if (x) y = 1;");
+        assert_eq!(
+            ops,
+            [
+                "LoadSlotFast",
+                "BranchFalseSeq",
+                "BindCheck",
+                "Const",
+                "AssignSlotPop"
+            ]
+        );
+    }
+
+    #[test]
+    fn an_array_update_stops_naming_the_array() {
+        for stmt in ["a = 0;", "a++;", "--a;"] {
+            let (code, _) = main_code(&format!("{DECLS} {stmt}"));
+            assert_eq!(
+                code.fails.last().map(String::as_str),
+                Some("array `a` is not a modifiable lvalue"),
+                "{stmt}"
+            );
+        }
+    }
+
+    #[test]
+    fn goto_with_switch_runs_on_the_tree_walker() {
+        let tree_only = |body: &str| main_code(body).0.funcs[1].tree_only;
+        assert!(tree_only(
+            "int i = 0; goto l; l: switch (i) { case 0: break; } return 0;"
+        ));
+        assert!(!tree_only("int i = 0; goto l; l: return i;"));
+        assert!(!tree_only(
+            "int i = 0; switch (i) { case 0: break; } return 0;"
+        ));
     }
 }

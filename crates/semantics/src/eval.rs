@@ -351,6 +351,12 @@ struct Tombstone {
 /// checker gives up rather than trying to model them.
 const MAX_BYTES: i128 = 1 << 26;
 
+/// Memory budget for all live heap objects together, in bytes: leaked
+/// allocations under [`MAX_BYTES`] each must not add up to exhausting
+/// the host. A constant, not a [`Limits`] field — no configuration
+/// should let a checked program take the process down.
+const MAX_HEAP_BYTES: i128 = 4 * MAX_BYTES;
+
 /// Why evaluation stopped early (internal control flow).
 enum Stop {
     Ub(UbError),
@@ -805,6 +811,9 @@ pub struct Interp<'a> {
     /// Total `alloc` calls — the allocation-order serial for heap
     /// object names (equal to the slab index recycling would have used).
     alloc_count: u64,
+    /// Bytes of heap objects `malloc` created and `free` has not ended,
+    /// bounded by [`MAX_HEAP_BYTES`].
+    heap_bytes: i128,
     /// Per-function frame descriptors, indexed like `unit.functions`.
     frame_plans: Vec<FramePlan>,
     /// High-water mark of the slot stack, for the frame-pool telemetry:
@@ -902,6 +911,7 @@ impl<'a> Interp<'a> {
             free_slots: Vec::new(),
             tombstones: Vec::new(),
             alloc_count: 0,
+            heap_bytes: 0,
             frame_plans,
             slots_high_water: 0,
             frames: Vec::new(),
@@ -958,13 +968,7 @@ impl<'a> Interp<'a> {
         if self.engine == Engine::Bytecode && self.code.is_none() {
             self.code = Some(Rc::new(compile(self.unit)));
         }
-        let main_idx = self
-            .unit
-            .func_by_symbol
-            .get(kw::MAIN.index())
-            .copied()
-            .flatten();
-        let Some(main_idx) = main_idx else {
+        let Some(main_idx) = self.unit.function_index(kw::MAIN) else {
             return Outcome::Unsupported {
                 message: "translation unit defines no `main` function".into(),
                 loc: SourceLoc::default(),
@@ -2273,8 +2277,7 @@ impl<'a> Interp<'a> {
             self.args.push(v);
         }
         let nargs = self.args.len() - argv_base;
-        let target = unit.func_by_symbol.get(name.index()).copied().flatten();
-        if let Some(func_idx) = target {
+        if let Some(func_idx) = unit.function_index(name) {
             let func = &unit.functions[func_idx as usize];
             if func.params.len() != nargs {
                 return Err(self.ub(
@@ -2341,12 +2344,13 @@ impl<'a> Interp<'a> {
                 format!("malloc({n}) with a negative size"),
             ));
         }
-        if n > MAX_BYTES {
+        if n > MAX_BYTES || self.heap_bytes + n > MAX_HEAP_BYTES {
             return Err(stop_unsupported(
                 format!("malloc({n}) exceeds the engine's memory budget"),
                 loc,
             ));
         }
+        self.heap_bytes += n;
         // `malloc(n)` allocates `n` *bytes* — the model finally
         // agrees with `sizeof`. `malloc(0)` yields a distinct
         // zero-size allocation: legal to `free`, undefined to
@@ -2412,6 +2416,7 @@ impl<'a> Interp<'a> {
                 // Current and alive: bare-slot access is sound.
                 let slot = obj_slot(p.obj);
                 self.objects[slot].alive = false;
+                self.heap_bytes -= self.objects[slot].bytes.len() as i128;
                 if self.profile_enabled {
                     self.prof.note_dealloc(self.objects[slot].bytes.len(), true);
                 }
@@ -4241,6 +4246,30 @@ mod tests {
             .exit_code(),
             Some(9)
         );
+    }
+
+    #[test]
+    fn live_heap_bytes_are_budgeted_under_both_engines() {
+        // Each 40 MB allocation is under the one-object budget; the
+        // seventh live one would take the total past `MAX_HEAP_BYTES`.
+        let leak = "int main(void) {\n  int i = 0;\n  while (i < 3000) {\n    \
+                    malloc(40000000);\n    i++;\n  }\n  return 0;\n}";
+        // Freed bytes leave the total, however often the loop repeats.
+        let churn = "int main(void) { int i = 0; \
+                     while (i < 8) { free(malloc(40000000)); i++; } return 0; }";
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let unit = parse(leak).unwrap();
+            let outcome = Interp::with_engine(&unit, Limits::default(), engine).run_main();
+            assert!(
+                matches!(&outcome, Outcome::Unsupported { message, loc }
+                    if message == "malloc(40000000) exceeds the engine's memory budget"
+                        && loc.line == 4),
+                "{engine:?}: {outcome:?}"
+            );
+            let unit = parse(churn).unwrap();
+            let outcome = Interp::with_engine(&unit, Limits::default(), engine).run_main();
+            assert_eq!(outcome.exit_code(), Some(0), "{engine:?}: {outcome:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `ExecStmt`, `DeclFull`) hand whole constructs back to the walker.
 
 use super::*;
-use crate::bytecode::{FnCode, FusedSweep, Op, Pc, SweepSrc};
+use crate::bytecode::{FusedSweep, Op, Pc, SweepSrc};
 
 impl<'a> Interp<'a> {
     /// Execute one function body from its op range; the shared
@@ -97,11 +97,11 @@ impl<'a> Interp<'a> {
                 Op::Nop => {}
                 Op::Const(i) => self.vstack.push(Value::Int(code.pool[i as usize])),
                 Op::LoadSlot(slot) => {
-                    let v = self.load_slot_any::<PROFILE>(fc, slot_base, slot, loc)?;
+                    let v = self.load_slot_any::<PROFILE>(slot_base, slot, loc)?;
                     self.vstack.push(v);
                 }
                 Op::LoadSlotFast(slot, t) => {
-                    let v = self.load_slot_fast::<PROFILE>(fc, slot_base, slot, t, loc)?;
+                    let v = self.load_slot_fast::<PROFILE>(slot_base, slot, t, loc)?;
                     self.vstack.push(v);
                 }
                 Op::Pop => {
@@ -157,7 +157,6 @@ impl<'a> Interp<'a> {
                 Op::BinSS(i) | Op::BinSC(i) => {
                     let v = self.fused_bin::<PROFILE>(
                         code,
-                        fc,
                         slot_base,
                         i,
                         matches!(op, Op::BinSC(_)),
@@ -168,21 +167,19 @@ impl<'a> Interp<'a> {
                 Op::BinVS(i) => {
                     let l = self.vpop();
                     let f = code.fused[i as usize];
-                    let r =
-                        self.load_slot_fast::<PROFILE>(fc, slot_base, f.a_slot, f.a_ty, f.a_loc)?;
+                    let r = self.load_slot_fast::<PROFILE>(slot_base, f.a_slot, f.a_ty, f.a_loc)?;
                     let v = self.apply_binop(f.op, l, r, loc)?;
                     self.vstack.push(v);
                 }
                 Op::Bin2SF(j) | Op::Bin2VF(j) => {
                     let f2 = code.fused2[j as usize];
                     let l = if matches!(op, Op::Bin2SF(_)) {
-                        self.load_slot_fast::<PROFILE>(fc, slot_base, f2.a_slot, f2.a_ty, f2.a_loc)?
+                        self.load_slot_fast::<PROFILE>(slot_base, f2.a_slot, f2.a_ty, f2.a_loc)?
                     } else {
                         self.vpop()
                     };
                     let r = self.fused_bin::<PROFILE>(
                         code,
-                        fc,
                         slot_base,
                         f2.inner,
                         f2.inner_const,
@@ -197,7 +194,6 @@ impl<'a> Interp<'a> {
                     let f2 = code.fused2[j as usize];
                     let l = self.fused_bin::<PROFILE>(
                         code,
-                        fc,
                         slot_base,
                         f2.inner,
                         f2.inner_const,
@@ -249,7 +245,7 @@ impl<'a> Interp<'a> {
                 }
                 Op::BrCmpSS(i, t) | Op::BrCmpSC(i, t) => {
                     let is_const = matches!(op, Op::BrCmpSC(_, _));
-                    let v = self.fused_bin::<PROFILE>(code, fc, slot_base, i, is_const, loc)?;
+                    let v = self.fused_bin::<PROFILE>(code, slot_base, i, is_const, loc)?;
                     self.fp.truncate(fp_base);
                     if !self.truthy(v, loc)? {
                         pc = t;
@@ -328,11 +324,11 @@ impl<'a> Interp<'a> {
                     }
                 }
                 Op::SlotPlace(slot) => {
-                    let obj = self.bound_slot(fc, slot_base, slot, loc)?;
+                    let obj = self.bound_slot(slot_base, slot, loc)?;
                     self.vstack.push(Value::Ptr(self.designator_pointer(obj)));
                 }
                 Op::BindCheck(slot) => {
-                    self.bound_slot(fc, slot_base, slot, loc)?;
+                    self.bound_slot(slot_base, slot, loc)?;
                 }
                 Op::StoreSimple => {
                     let rv = self.vpop();
@@ -402,7 +398,7 @@ impl<'a> Interp<'a> {
                     self.vstack.push(if is_post { old } else { new });
                 }
                 Op::IncDecSlotStmt(i) => {
-                    self.incdec_slot::<PROFILE>(code, fc, slot_base, i, loc)?;
+                    self.incdec_slot::<PROFILE>(code, slot_base, i, loc)?;
                     self.fp.truncate(fp_base);
                 }
                 Op::CastInt(t) => {
@@ -687,36 +683,33 @@ impl<'a> Interp<'a> {
     /// Object bound to a frame slot, or the tree-walker's exact
     /// "declaration not executed" stop.
     #[inline]
-    fn bound_slot(
-        &mut self,
-        fc: &FnCode,
-        slot_base: usize,
-        slot: u32,
-        loc: SourceLoc,
-    ) -> EResult<usize> {
+    fn bound_slot(&mut self, slot_base: usize, slot: u32, loc: SourceLoc) -> EResult<usize> {
         match self.slots[slot_base + slot as usize] {
             obj if obj != SLOT_NONE => Ok(obj),
             _ => Err(stop_unsupported(
                 format!(
                     "use of `{}` before its declaration executed",
-                    self.name(fc.slot_syms[slot as usize])
+                    self.slot_name(slot)
                 ),
                 loc,
             )),
         }
     }
 
+    /// The executing function's spelling of `slot`, from the resolver's
+    /// slot table.
+    #[cold]
+    fn slot_name(&self, slot: u32) -> &'a str {
+        let unit = self.unit;
+        let func = &unit.functions[self.frames.last().expect("active frame").func as usize];
+        unit.interner.resolve(func.slots[slot as usize].name)
+    }
+
     /// Generic slot load: array designators decay to pointers, scalars
     /// read through the typed core (uninitialized reads and `_Bool`
     /// traps report exactly as in the tree).
-    fn load_slot_generic(
-        &mut self,
-        fc: &FnCode,
-        slot_base: usize,
-        slot: u32,
-        loc: SourceLoc,
-    ) -> EResult<Value> {
-        let obj = self.bound_slot(fc, slot_base, slot, loc)?;
+    fn load_slot_generic(&mut self, slot_base: usize, slot: u32, loc: SourceLoc) -> EResult<Value> {
+        let obj = self.bound_slot(slot_base, slot, loc)?;
         if self.obj_is_array(obj) {
             return Ok(Value::Ptr(self.designator_pointer(obj)));
         }
@@ -732,7 +725,6 @@ impl<'a> Interp<'a> {
     #[inline]
     fn load_slot_fast<const PROFILE: bool>(
         &mut self,
-        fc: &FnCode,
         slot_base: usize,
         slot: u32,
         t: IntTy,
@@ -756,7 +748,7 @@ impl<'a> Interp<'a> {
         if PROFILE {
             self.prof.word_fast_fallbacks += 1;
         }
-        self.load_slot_generic(fc, slot_base, slot, loc)
+        self.load_slot_generic(slot_base, slot, loc)
     }
 
     /// Slot load for slots with no static scalar shape (pointer
@@ -771,7 +763,6 @@ impl<'a> Interp<'a> {
     #[inline]
     fn load_slot_any<const PROFILE: bool>(
         &mut self,
-        fc: &FnCode,
         slot_base: usize,
         slot: u32,
         loc: SourceLoc,
@@ -793,7 +784,7 @@ impl<'a> Interp<'a> {
         if PROFILE {
             self.prof.word_fast_fallbacks += 1;
         }
-        self.load_slot_generic(fc, slot_base, slot, loc)
+        self.load_slot_generic(slot_base, slot, loc)
     }
 
     /// A fused slot(/const) ⊕ slot(/const) operator: both operands load
@@ -802,18 +793,17 @@ impl<'a> Interp<'a> {
     fn fused_bin<const PROFILE: bool>(
         &mut self,
         code: &CodeUnit,
-        fc: &FnCode,
         slot_base: usize,
         i: u32,
         b_const: bool,
         loc: SourceLoc,
     ) -> EResult<Value> {
         let f = code.fused[i as usize];
-        let a = self.load_slot_fast::<PROFILE>(fc, slot_base, f.a_slot, f.a_ty, f.a_loc)?;
+        let a = self.load_slot_fast::<PROFILE>(slot_base, f.a_slot, f.a_ty, f.a_loc)?;
         let b = if b_const {
             Value::Int(code.pool[f.b_slot as usize])
         } else {
-            self.load_slot_fast::<PROFILE>(fc, slot_base, f.b_slot, f.b_ty, f.b_loc)?
+            self.load_slot_fast::<PROFILE>(slot_base, f.b_slot, f.b_ty, f.b_loc)?
         };
         self.apply_binop(f.op, a, b, loc)
     }
@@ -928,13 +918,12 @@ impl<'a> Interp<'a> {
     fn incdec_slot<const PROFILE: bool>(
         &mut self,
         code: &CodeUnit,
-        fc: &FnCode,
         slot_base: usize,
         i: u32,
         loc: SourceLoc,
     ) -> EResult<()> {
         let d = code.incdecs[i as usize];
-        let obj = self.bound_slot(fc, slot_base, d.slot, d.place_loc)?;
+        let obj = self.bound_slot(slot_base, d.slot, d.place_loc)?;
         if let Some(t) = d.fast {
             let size = t.size_bytes() as usize;
             if let Some(o) = self.resolved(obj) {

@@ -7,8 +7,9 @@
 //! - every parameter and declaration in a function is assigned a dense,
 //!   frame-relative [`SlotId`] (shadowing declarations get distinct
 //!   slots, so the same lexical name can refer to different slots at
-//!   different program points), and its declared type is recorded in
-//!   the function's slot table ([`crate::ast::Function::slots`]);
+//!   different program points), and its spelling and declared type are
+//!   recorded in the function's slot table
+//!   ([`crate::ast::Function::slots`]);
 //! - every [`ExprKind::Ident`] that is visible from a declaration is
 //!   rewritten to [`ExprKind::Slot`], keeping the original [`Symbol`] so
 //!   diagnostics still print the identifier as it was spelled;
@@ -69,11 +70,7 @@ pub fn resolve(unit: &mut TranslationUnit) {
         // parameter's name is a redeclaration, not a shadow.
         r.scopes.push(Vec::new());
         for p in &unit.functions[i].params {
-            let ty = SlotTy {
-                ty: ValTy::of(&p.ty),
-                is_const: false,
-            };
-            r.bind(p.name, ty);
+            r.bind(p.name, ValTy::of(&p.ty), false);
         }
         let body = std::mem::take(&mut unit.functions[i].body);
         for &s in &body {
@@ -89,7 +86,8 @@ pub fn resolve(unit: &mut TranslationUnit) {
 struct Resolver {
     /// Innermost scope last; each scope maps names to slots.
     scopes: Vec<Vec<(Symbol, SlotId)>>,
-    /// Declared type of every slot bound so far, indexed by slot.
+    /// Spelling and declared type of every slot bound so far, indexed by
+    /// slot.
     slots: Vec<SlotTy>,
     /// Labels defined in the function, in source order — exported on the
     /// [`crate::ast::Function`] for the translation-phase analyzer
@@ -101,9 +99,9 @@ struct Resolver {
 
 impl Resolver {
     /// Give `name` a fresh slot of type `ty` in the innermost scope.
-    fn bind(&mut self, name: Symbol, ty: SlotTy) -> SlotId {
+    fn bind(&mut self, name: Symbol, ty: ValTy, is_const: bool) -> SlotId {
         let slot = SlotId(u32::try_from(self.slots.len()).expect("fewer than 2^32 slots"));
-        self.slots.push(ty);
+        self.slots.push(SlotTy { name, ty, is_const });
         self.scopes
             .last_mut()
             .expect("active scope")
@@ -227,8 +225,7 @@ impl Resolver {
             }
         };
         d.redeclares = self.in_current_scope(d.name);
-        let is_const = d.quals.is_const;
-        d.slot = self.bind(d.name, SlotTy { ty, is_const });
+        d.slot = self.bind(d.name, ty, d.quals.is_const);
         // The initializer sees the new binding: `int x = x;` reads the
         // fresh, indeterminate x.
         if let Some(init) = d.init {
