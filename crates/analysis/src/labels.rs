@@ -169,7 +169,7 @@ impl<'a> LabelWalker<'a> {
                 self.stmt(*body);
                 self.vlas.truncate(mark);
             }
-            Stmt::Switch(_, body, _) => {
+            Stmt::Switch(_, body, ..) => {
                 self.switches.push(SwitchFrame {
                     vla_base: self.vlas.len(),
                     seen: Vec::new(),

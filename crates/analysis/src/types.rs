@@ -120,7 +120,7 @@ impl<'a> TypeWalker<'a> {
                     self.stmt(item);
                 }
             }
-            Stmt::Switch(c, body, _) => {
+            Stmt::Switch(c, body, ..) => {
                 self.value(*c);
                 self.stmt(*body);
             }

@@ -544,12 +544,10 @@ pub fn render_profile(path: &str, p: &ExecProfile) -> String {
     let mut ops: Vec<(&str, u64)> = p.op_counts.iter().map(|(m, n)| (*m, *n)).collect();
     ops.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     if !ops.is_empty() {
-        let top: Vec<String> = ops
-            .iter()
-            .take(8)
-            .map(|(m, n)| format!("{m}×{n}"))
-            .collect();
-        let _ = writeln!(out, "{path}: profile: top ops: {}", top.join(" "));
+        // The whole histogram, most-dispatched first, so two builds'
+        // op mixes can be compared from the CLI.
+        let all: Vec<String> = ops.iter().map(|(m, n)| format!("{m}×{n}")).collect();
+        let _ = writeln!(out, "{path}: profile: top ops: {}", all.join(" "));
     }
     out
 }

@@ -18,6 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+/// Stack size of every worker: the main thread's usual 8 MiB, so a
+/// check that one-shot `cundef` completes on the main thread completes
+/// on `--batch` and `serve` workers too (the default 2 MiB thread stack
+/// overflows on deeply nested input the main thread takes in stride).
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -56,7 +62,7 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
+                let worker = move || loop {
                     let job = {
                         let mut q = shared.queue.lock().expect("pool queue poisoned");
                         loop {
@@ -75,7 +81,11 @@ impl WorkerPool {
                     if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
                         shared.panics.fetch_add(1, Ordering::Relaxed);
                     }
-                })
+                };
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn(worker)
+                    .expect("spawn a pool worker")
             })
             .collect();
         WorkerPool { shared, handles }

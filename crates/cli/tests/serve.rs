@@ -403,6 +403,41 @@ fn serve_survives_a_heap_exhausting_program() {
     assert_eq!(num_field(&responses[2], "panics"), 0);
 }
 
+/// A deeply parenthesised expression gets the one-shot verdict under
+/// `--batch --jobs 2` and through `serve`, whose pool workers run with the
+/// main thread's stack; the request queued behind it is answered too.
+#[test]
+fn deep_nesting_gets_the_one_shot_verdict_on_pool_workers() {
+    // Deep enough to overflow a default 2 MiB thread stack, shallow
+    // enough for the 8 MiB main thread — unoptimized frames are larger.
+    let depth = if cfg!(debug_assertions) { 400 } else { 1000 };
+    let src = format!(
+        "int main(void) {{ return {}0{}; }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let path = std::env::temp_dir().join(format!("cundef_deep_{}.c", std::process::id()));
+    std::fs::write(&path, &src).unwrap();
+    let file = path.to_str().unwrap();
+    let one_shot = cundef(&[file]);
+    assert_eq!(one_shot.status.code(), Some(0), "{one_shot:?}");
+    let want = String::from_utf8(one_shot.stdout).unwrap();
+    let batch = cundef(&["--batch", "--jobs", "2", file, file]);
+    assert_eq!(batch.status.code(), Some(0), "{batch:?}");
+    assert_eq!(String::from_utf8(batch.stdout).unwrap(), want.repeat(2));
+    let input = format!(
+        "{{\"path\": {}, \"id\": 1}}\n\
+         {{\"path\": \"examples/defined.c\", \"id\": 2}}\n\
+         {{\"cmd\": \"shutdown\"}}\n",
+        escaped(file)
+    );
+    let responses = serve(&["--jobs", "2"], &input);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(str_field(&responses[0], "stdout"), want);
+    assert_eq!(num_field(&responses[1], "id"), 2);
+    assert_eq!(str_field(&responses[1], "verdict"), "defined");
+}
+
 /// A stdin line longer than the 64 MiB request cap gets an in-order
 /// error envelope; the daemon discards it through its newline and
 /// answers the next request.

@@ -12,6 +12,7 @@
 //! unit therefore performs O(1) large allocations instead of one per
 //! node, and walking the tree touches contiguous memory.
 
+use crate::consteval::ConstStop;
 use crate::ctype::{CInt, IntTy, PTR_BYTES};
 use crate::intern::{Interner, Symbol};
 use cundef_ub::SourceLoc;
@@ -424,8 +425,9 @@ pub enum Stmt {
     /// lifetimes of the objects declared inside (§6.2.4:6). The location
     /// is the opening brace's.
     Block(Vec<StmtId>, SourceLoc),
-    /// `switch` statement (§6.8.4.2); the location is the keyword's.
-    Switch(ExprId, StmtId, SourceLoc),
+    /// `switch` statement (§6.8.4.2); the location is the keyword's, and
+    /// the index selects its case table in [`TranslationUnit::switches`].
+    Switch(ExprId, StmtId, SourceLoc, u32),
     /// `case e: stmt` label inside a `switch`; the expression must be an
     /// integer constant expression (§6.8.4.2:3). The location is the
     /// keyword's.
@@ -512,6 +514,34 @@ pub struct TranslationUnit {
     /// The value type of every expression, parallel to `exprs`; filled
     /// by the resolution pass and read through [`TranslationUnit::ty`].
     pub types: Vec<ValTy>,
+    /// One case table per `switch`, indexed by [`Stmt::Switch`]'s last
+    /// field; allocated by the parser, filled by the resolution pass.
+    pub switches: Vec<SwitchTable>,
+}
+
+/// What a `case`/`default` label on a switch body's top-level label
+/// chains selects on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CaseArm {
+    /// `case e:` with `e` folded once (§6.8.4.2:3): its constant, or why
+    /// it has none — reported only if a dispatch reaches the label.
+    Case(Result<CInt, ConstStop>),
+    /// `default:`.
+    Default,
+}
+
+/// The dispatch table of one `switch` (§6.8.4.2), shared by both
+/// engines: the labels a controlling value can select, in scan order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SwitchTable {
+    /// Each `case`/`default` on the top-level label chains, with the
+    /// body item it enters (always 0 for a non-block body).
+    pub arms: Vec<(CaseArm, u32)>,
+    /// Where dispatch stops when no top-level `case` matches but a label
+    /// hides deeper in the body (Duff-style), which the engines do not
+    /// model: the `switch` keyword for a block body, the chain's
+    /// terminal statement otherwise.
+    pub nested_case: Option<SourceLoc>,
 }
 
 impl Function {

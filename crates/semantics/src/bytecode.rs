@@ -12,8 +12,8 @@
 //!
 //! - **Honest fallbacks.** Any construct the compiler cannot prove it
 //!   lowers faithfully becomes a fallback op ([`Op::EvalFull`],
-//!   [`Op::ExecStmt`], [`Op::DeclFull`]) that calls straight into the
-//!   tree-walker for that full expression / statement / declaration.
+//!   [`Op::DeclFull`]) that calls straight into the tree-walker for that
+//!   full expression / declaration. Every statement is lowered.
 //!   The fast path only ever covers code where the lowering is exact.
 //! - **Footprint elision.** §6.5:2 sequencing checks are *provably
 //!   vacuous* for full expressions with at most one update (the root
@@ -23,8 +23,8 @@
 //!   precision.
 //!
 //! Ops are slim (operands are u32 indices); anything larger — fused
-//! superinstruction descriptors, prebuilt error reports, tree-fallback
-//! flow info — lives in side tables indexed by those operands, with a
+//! superinstruction descriptors, prebuilt error reports, `switch` jump
+//! tables — lives in side tables indexed by those operands, with a
 //! parallel per-op [`SourceLoc`] table for diagnostics.
 
 use crate::ast::{BinOp, ExprId, StmtId, UnaryOp};
@@ -32,10 +32,8 @@ use crate::ctype::{CInt, IntTy};
 use crate::eval::PointeeTy;
 use cundef_ub::{SourceLoc, UbError};
 
-// `goto` is compiled to a statically patched jump; a function whose
-// gotos interact with tree-executed regions (`switch`) is marked
-// `tree_only` instead, so the virtual machine never needs a runtime
-// label search.
+// `goto` is compiled to a statically patched jump, so the virtual
+// machine never needs a runtime label search.
 
 /// Program counter: an index into [`CodeUnit::ops`].
 pub(crate) type Pc = u32;
@@ -96,6 +94,10 @@ pub(crate) enum Op {
     // ----- control flow -----
     /// Unconditional jump.
     Jump(Pc),
+    /// `switch` dispatch: pop the controlling value, end its full
+    /// expression, and jump to the body item that the unit's case table
+    /// `switches[i]` selects (entry pcs in [`CodeUnit::switches`]).
+    Switch(u32),
     /// Pop; if not truthy, jump (conditional operator — no sequence
     /// boundary).
     BranchFalse(Pc),
@@ -245,9 +247,6 @@ pub(crate) enum Op {
     /// Statement fallback: evaluate a full expression through the
     /// tree-walker and discard the value.
     EvalFullPop(ExprId),
-    /// Statement fallback (`switch`): execute through the tree-walker;
-    /// flow info in `execs[i]`.
-    ExecStmt(u32),
     /// Unconditional engine-limit stop; message in `fails[i]`.
     FailUnsupported(u32),
     /// Unconditional undefined-behavior stop; prebuilt report in
@@ -279,6 +278,7 @@ impl Op {
             Op::Bin2VF(_) => "Bin2VF",
             Op::Bin2FC(_) => "Bin2FC",
             Op::Jump(_) => "Jump",
+            Op::Switch(_) => "Switch",
             Op::BranchFalse(_) => "BranchFalse",
             Op::BranchFalseSeq(_) => "BranchFalseSeq",
             Op::AndFalse(_) => "AndFalse",
@@ -321,7 +321,6 @@ impl Op {
             Op::ByteSweep(_) => "ByteSweep",
             Op::EvalFull(_) => "EvalFull",
             Op::EvalFullPop(_) => "EvalFullPop",
-            Op::ExecStmt(_) => "ExecStmt",
             Op::FailUnsupported(_) => "FailUnsupported",
             Op::FailUb(_) => "FailUb",
             Op::Nop => "Nop",
@@ -439,22 +438,15 @@ pub(crate) struct FusedSweep {
     pub exit: Pc,
 }
 
-/// Flow bookkeeping for a tree-fallback statement op: where the op sits
-/// in the compiled scope structure and where `continue` from inside it
-/// must land (`break` never escapes a `switch`, the only statement that
-/// gets an [`Op::ExecStmt`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecInfo {
-    /// The statement executed through the tree-walker.
-    pub stmt: StmtId,
-    /// Compile-time scope depth at this op (scopes entered since the
-    /// frame's base) — how many scopes a stray `continue` must leave.
-    pub depth: u32,
-    /// Innermost enclosing compiled loop: scopes to pop on `continue`,
-    /// and the pc to resume at. `None` when the statement is not inside
-    /// a compiled loop (the tree-walker lets such a `continue` fall out
-    /// of the function body; the VM jumps to the frame's end).
-    pub cont: Option<(u32, Pc)>,
+/// Where a compiled `switch` can send control.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SwitchCode {
+    /// Entry pc of each body item (the whole statement for a non-block
+    /// body), indexed like the case table's item numbers.
+    pub entries: Vec<Pc>,
+    /// Where no selection lands: the body's closing `ExitScope`, or just
+    /// past a non-block body. `break` leaves through here too.
+    pub skip: Pc,
 }
 
 /// Per-function compiled code.
@@ -464,11 +456,6 @@ pub(crate) struct FnCode {
     pub start: Pc,
     /// One past the last op (falling off it is reaching the `}`).
     pub end: Pc,
-    /// The function body runs through the tree-walker even under the
-    /// bytecode engine: its gotos interact with tree-executed regions
-    /// (a label or `goto` under a `switch`), which a static jump cannot
-    /// reproduce faithfully.
-    pub tree_only: bool,
 }
 
 /// A compiled translation unit: the flat op stream plus its side tables.
@@ -490,8 +477,9 @@ pub(crate) struct CodeUnit {
     pub incdecs: Vec<FusedIncDec>,
     /// Fused byte-sweep descriptors.
     pub sweeps: Vec<FusedSweep>,
-    /// Tree-fallback statement flow info.
-    pub execs: Vec<ExecInfo>,
+    /// Jump tables, indexed like
+    /// [`crate::ast::TranslationUnit::switches`].
+    pub switches: Vec<SwitchCode>,
     /// Engine-limit messages for [`Op::FailUnsupported`].
     pub fails: Vec<String>,
     /// Prebuilt undefined-behavior reports for [`Op::FailUb`].

@@ -28,18 +28,17 @@
 //!   discards its value inside its own op, a lone fused compare becomes
 //!   a compare-and-branch — so the fused store and inc/dec paths exist
 //!   once, whatever the context.
-//! - **Static goto**: labels and gotos compile to jump-patched scope
-//!   transitions. A function whose gotos could interact with a
-//!   tree-executed region (the resolver recorded a `goto` and the body
-//!   holds a `switch`) is marked `FnCode::tree_only` and executes
-//!   entirely through the tree-walker under either engine.
+//! - **Static control flow**: labels and gotos compile to jump-patched
+//!   scope transitions, and a `switch` to an `Op::Switch` jump table
+//!   that selects through the resolver's case table — the selection the
+//!   tree-walker runs — so every statement runs on the VM.
 
 use crate::ast::{
     BinOp, Decl, ExprId, ExprKind, Function, Stmt, StmtId, TranslationUnit, Ty, UnaryOp, ValTy,
 };
 use crate::bytecode::{
-    CodeUnit, ExecInfo, FnCode, Fused2, FusedBin, FusedIncDec, FusedStore, FusedSweep, Op, Pc,
-    SweepSrc,
+    CodeUnit, FnCode, Fused2, FusedBin, FusedIncDec, FusedStore, FusedSweep, Op, Pc, SweepSrc,
+    SwitchCode,
 };
 use crate::consteval;
 use crate::ctype::{CInt, IntTy, SIZE_T};
@@ -68,7 +67,10 @@ pub fn compile_unit(unit: &TranslationUnit) -> CompiledUnit {
 
 /// Lower every function of `unit`, back to back, into one [`CodeUnit`].
 pub(crate) fn compile(unit: &TranslationUnit) -> CodeUnit {
-    let mut code = CodeUnit::default();
+    let mut code = CodeUnit {
+        switches: vec![SwitchCode::default(); unit.switches.len()],
+        ..CodeUnit::default()
+    };
     for (idx, func) in unit.functions.iter().enumerate() {
         let fc = FnCompiler::lower(unit, func, idx as u32, &mut code);
         code.funcs.push(fc);
@@ -97,21 +99,20 @@ struct Bail;
 
 type CResult = Result<Shape, Bail>;
 
-/// One enclosing loop's pending `break`/`continue` jumps, patched when
-/// the loop's end and continue target (`while`: the condition; `for`:
-/// the step) are known.
+/// One enclosing loop's or `switch`'s pending `break`/`continue` jumps,
+/// patched when its end and continue target (`while`: the condition;
+/// `for`: the step) are known.
 struct LoopCtx {
-    /// `path` length just outside the loop statement (a `break` unwinds
-    /// to here).
+    /// `path` length a `break` unwinds to (just outside a loop; inside a
+    /// `switch` body's scope, which its exit then closes).
     break_path_len: usize,
-    /// `path` length a `continue` keeps (inside the `for`'s own scope).
-    cont_path_len: usize,
+    /// `path` length a `continue` keeps (inside the `for`'s own scope);
+    /// `None` for a `switch`, which `continue` passes through.
+    cont_path_len: Option<usize>,
     /// `Jump` ops to patch to the continue target.
     conts: Vec<usize>,
-    /// `Jump` ops to patch to just past the loop.
+    /// `Jump` ops to patch to the exit.
     breaks: Vec<usize>,
-    /// `execs` entries whose `cont` pc awaits the continue target.
-    cont_execs: Vec<usize>,
 }
 
 /// A `goto` site awaiting its patch.
@@ -155,15 +156,6 @@ impl<'a> FnCompiler<'a> {
         idx: u32,
         code: &'a mut CodeUnit,
     ) -> FnCode {
-        if !func.gotos.is_empty() && any_stmt(unit, func, |s| matches!(s, Stmt::Switch(..))) {
-            // A goto could target a label under a switch (or originate
-            // under one); the whole function stays on the tree-walker.
-            return FnCode {
-                start: 0,
-                end: 0,
-                tree_only: true,
-            };
-        }
         let tail_self = {
             let resolves_here = unit.function_index(func.name) == Some(idx);
             let scalar_params = func.slots[..func.params.len()]
@@ -194,8 +186,7 @@ impl<'a> FnCompiler<'a> {
             c.code.ops[j] = Op::Jump(end);
         }
         // Patch gotos: unwind to the common scope prefix, re-enter the
-        // target's scopes, jump. Every target label was compiled (no
-        // tree-executed regions coexist with gotos here).
+        // target's scopes, jump. Every target label was compiled.
         let gotos = std::mem::take(&mut c.gotos);
         for g in gotos {
             let (pc, lpath) = c
@@ -214,11 +205,7 @@ impl<'a> FnCompiler<'a> {
             c.code.ops[g.at + 1] = Op::ScopePushN((lpath.len() - common) as u32);
             c.code.ops[g.at + 2] = Op::Jump(pc);
         }
-        FnCode {
-            start,
-            end,
-            tree_only: false,
-        }
+        FnCode { start, end }
     }
 
     fn pc(&self) -> Pc {
@@ -309,7 +296,7 @@ fn any_stmt(unit: &TranslationUnit, func: &Function, mut pred: impl FnMut(&Stmt)
             }
             Stmt::Block(body, _) => stmts.extend(body.iter().copied()),
             Stmt::While(_, s)
-            | Stmt::Switch(_, s, _)
+            | Stmt::Switch(_, s, ..)
             | Stmt::Case(_, s, _)
             | Stmt::Default(s, _)
             | Stmt::Label(_, s, _) => stmts.push(*s),
@@ -652,7 +639,7 @@ impl<'a> FnCompiler<'a> {
             Stmt::While(cond, body) => {
                 let cond_pc = self.pc();
                 let exit_patch = self.cond(*cond);
-                self.enter_loop(self.path.len());
+                self.enter_loop(self.path.len(), Some(self.path.len()));
                 self.stmt(*body);
                 self.emit(Op::Jump(cond_pc), self.expr_loc(*cond));
                 let end = self.pc();
@@ -679,7 +666,7 @@ impl<'a> FnCompiler<'a> {
                     .map(|cand| (self.emit(Op::Nop, loc), cand));
                 let cond_pc = self.pc();
                 let exit_patch = cond.map(|c| self.cond(c));
-                self.enter_loop(break_path_len);
+                self.enter_loop(break_path_len, Some(self.path.len()));
                 self.stmt(*body);
                 let step_pc = self.pc();
                 if let Some(step) = step {
@@ -711,12 +698,18 @@ impl<'a> FnCompiler<'a> {
             },
             Stmt::Break(loc) | Stmt::Continue(loc) => {
                 let is_break = matches!(self.unit.stmt(s), Stmt::Break(_));
-                // A stray `break`/`continue` bubbles to the function's end
-                // like a fall-off (the tree-walker's blocks pass the flow
-                // through to `call`, which treats it as Normal).
-                let keep = match self.loops.last() {
+                // `break` leaves the innermost loop or `switch`, `continue`
+                // continues the innermost loop. A stray one bubbles to the
+                // function's end like a fall-off (the tree-walker's blocks
+                // pass the flow through to `call`, which treats it as
+                // Normal).
+                let target = self
+                    .loops
+                    .iter()
+                    .rposition(|ctx| is_break || ctx.cont_path_len.is_some());
+                let keep = match target.map(|t| &self.loops[t]) {
                     Some(ctx) if is_break => ctx.break_path_len,
-                    Some(ctx) => ctx.cont_path_len,
+                    Some(ctx) => ctx.cont_path_len.expect("a loop"),
                     None => 0,
                 };
                 let pops = (self.path.len() - keep) as u32;
@@ -724,7 +717,7 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::ScopePopN(pops), *loc);
                 }
                 let j = self.emit(Op::Jump(0), *loc);
-                match self.loops.last_mut() {
+                match target.map(|t| &mut self.loops[t]) {
                     Some(ctx) if is_break => ctx.breaks.push(j),
                     Some(ctx) => ctx.conts.push(j),
                     None => self.fn_end_jumps.push(j),
@@ -739,26 +732,37 @@ impl<'a> FnCompiler<'a> {
                 self.emit(Op::ExitScope, *loc);
                 self.pop_scope();
             }
-            Stmt::Switch(_, _, loc) => {
-                // `switch` dispatch stays on the tree-walker: its label
-                // scan, promoted-type case matching, and partial-block
-                // execution are exactly replicated by calling into it.
-                let idx = self.code.execs.len();
-                let depth = self.path.len();
-                let cont = self.loops.last_mut().map(|ctx| {
-                    ctx.cont_execs.push(idx);
-                    ((depth - ctx.cont_path_len) as u32, 0)
-                });
-                self.code.execs.push(ExecInfo {
-                    stmt: s,
-                    depth: depth as u32,
-                    cont,
-                });
-                self.emit(Op::ExecStmt(idx as u32), *loc);
+            Stmt::Switch(cond, body, _, table) => {
+                // Dispatch jumps to the selected body item; a block body's
+                // scope opens before it, so every entry and the exit share
+                // one scope path.
+                self.full_value(*cond);
+                let block = match self.unit.stmt(*body) {
+                    Stmt::Block(items, loc) => Some((&items[..], *loc)),
+                    _ => None,
+                };
+                if let Some((_, loc)) = block {
+                    self.emit(Op::EnterScope, loc);
+                    self.push_scope();
+                }
+                self.emit(Op::Switch(*table), self.expr_loc(*cond));
+                self.enter_loop(self.path.len(), None);
+                let mut entries = Vec::new();
+                for &item in block.map_or(std::slice::from_ref(body), |(items, _)| items) {
+                    entries.push(self.pc());
+                    self.stmt(item);
+                }
+                let skip = self.pc();
+                if let Some((_, loc)) = block {
+                    self.emit(Op::ExitScope, loc);
+                    self.pop_scope();
+                }
+                // `continue` passed through: no continue target to patch.
+                self.exit_loop(skip, 0);
+                self.code.switches[*table as usize] = SwitchCode { entries, skip };
             }
-            // Labels are transparent when reached sequentially; `case`
-            // and `default` outside a switch body execute their inner
-            // statement like the tree-walker does.
+            // Labels are transparent when reached sequentially (`case`
+            // and `default` select only through their switch's table).
             Stmt::Case(_, inner, _) | Stmt::Default(inner, _) => self.stmt(*inner),
             Stmt::Label(sym, inner, _) => {
                 if !self.labels.iter().any(|(s, _, _)| s == sym) {
@@ -799,18 +803,17 @@ impl<'a> FnCompiler<'a> {
         self.path.pop();
     }
 
-    fn enter_loop(&mut self, break_path_len: usize) {
+    fn enter_loop(&mut self, break_path_len: usize, cont_path_len: Option<usize>) {
         self.loops.push(LoopCtx {
             break_path_len,
-            cont_path_len: self.path.len(),
+            cont_path_len,
             conts: Vec::new(),
             breaks: Vec::new(),
-            cont_execs: Vec::new(),
         });
     }
 
-    /// Patch the innermost loop's jumps: `break` to `end`, `continue`
-    /// (also from inside a tree-executed `switch`) to `cont`.
+    /// Patch the innermost loop's (or `switch`'s) jumps: `break` to
+    /// `end`, `continue` to `cont`.
     fn exit_loop(&mut self, end: Pc, cont: Pc) {
         let ctx = self.loops.pop().expect("loop entered");
         for b in ctx.breaks {
@@ -818,11 +821,6 @@ impl<'a> FnCompiler<'a> {
         }
         for c in ctx.conts {
             self.code.ops[c] = Op::Jump(cont);
-        }
-        for e in ctx.cont_execs {
-            if let Some((_, pc)) = &mut self.code.execs[e].cont {
-                *pc = cont;
-            }
         }
     }
 
@@ -1009,7 +1007,6 @@ fn op_can_push_missing(op: &Op) -> bool {
             | Op::CastVoid
             | Op::EvalFull(_)
             | Op::EvalFullPop(_)
-            | Op::ExecStmt(_)
             | Op::DeclFull(_)
     )
 }
@@ -1624,14 +1621,25 @@ mod tests {
     }
 
     #[test]
-    fn goto_with_switch_runs_on_the_tree_walker() {
-        let tree_only = |body: &str| main_code(body).0.funcs[1].tree_only;
-        assert!(tree_only(
-            "int i = 0; goto l; l: switch (i) { case 0: break; } return 0;"
-        ));
-        assert!(!tree_only("int i = 0; goto l; l: return i;"));
-        assert!(!tree_only(
-            "int i = 0; switch (i) { case 0: break; } return 0;"
-        ));
+    fn switch_lowers_to_a_jump_table_even_with_goto() {
+        let body =
+            "int i = 0; goto l; l: switch (i) { case 0: i = 1; break; default: ; } return i;";
+        let (code, range) = main_code(body);
+        let ops = &code.ops[range];
+        let names: Vec<_> = ops.iter().map(Op::mnemonic).collect();
+        let at = names
+            .iter()
+            .position(|&m| m == "Switch")
+            .expect("a Switch op");
+        assert_eq!(names[at - 1], "EnterScope", "{names:?}");
+        assert!(!names.iter().any(|m| m.starts_with("Eval")), "{names:?}");
+        // One entry per body item; no match and `break` both leave
+        // through the body's closing scope exit.
+        let sw = &code.switches[0];
+        assert_eq!(sw.entries.len(), 3);
+        assert_eq!(code.ops[sw.skip as usize].mnemonic(), "ExitScope");
+        assert!(ops
+            .iter()
+            .any(|op| matches!(op, Op::Jump(t) if *t == sw.skip)));
     }
 }

@@ -67,7 +67,8 @@
 //!   path).
 
 use crate::ast::{
-    BinOp, Decl, ExprId, ExprKind, Stmt, StmtId, TranslationUnit, Ty, UnaryOp, ValTy,
+    BinOp, CaseArm, Decl, ExprId, ExprKind, Stmt, StmtId, SwitchTable, TranslationUnit, Ty,
+    UnaryOp, ValTy,
 };
 use crate::bytecode::CodeUnit;
 use crate::compile::{compile, CompiledUnit};
@@ -351,10 +352,11 @@ struct Tombstone {
 /// checker gives up rather than trying to model them.
 const MAX_BYTES: i128 = 1 << 26;
 
-/// Memory budget for all live heap objects together, in bytes: leaked
-/// allocations under [`MAX_BYTES`] each must not add up to exhausting
-/// the host. A constant, not a [`Limits`] field — no configuration
-/// should let a checked program take the process down.
+/// Memory budget for all live objects together, heap and automatic, in
+/// bytes: leaked allocations, or arrays in a deep recursion, under
+/// [`MAX_BYTES`] each must not add up to exhausting the host. A
+/// constant, not a [`Limits`] field — no configuration should let a
+/// checked program take the process down.
 const MAX_HEAP_BYTES: i128 = 4 * MAX_BYTES;
 
 /// Why evaluation stopped early (internal control flow).
@@ -811,9 +813,11 @@ pub struct Interp<'a> {
     /// Total `alloc` calls — the allocation-order serial for heap
     /// object names (equal to the slab index recycling would have used).
     alloc_count: u64,
-    /// Bytes of heap objects `malloc` created and `free` has not ended,
-    /// bounded by [`MAX_HEAP_BYTES`].
-    heap_bytes: i128,
+    /// Bytes of every live object: `alloc` adds, the end of a lifetime
+    /// (`free`, leaving a block or frame) subtracts. Checked against
+    /// [`MAX_HEAP_BYTES`] wherever a program chooses a size (`malloc`,
+    /// array declarations).
+    live_bytes: i128,
     /// Per-function frame descriptors, indexed like `unit.functions`.
     frame_plans: Vec<FramePlan>,
     /// High-water mark of the slot stack, for the frame-pool telemetry:
@@ -839,10 +843,6 @@ pub struct Interp<'a> {
     fp: Vec<Access>,
     /// Shared argument-passing stack, so calls don't allocate a `Vec`.
     args: Vec<Value>,
-    /// Case-label values, folded once per label (§6.8.4.2:3 makes them
-    /// translation-time constants) so a switch inside a loop does not
-    /// re-walk its constant expressions on every dispatch.
-    case_values: std::collections::HashMap<u32, CInt>,
     /// Implementation-defined conversion notes (§6.3.1.3:3): a narrowing
     /// conversion to a signed type that cannot represent the value is
     /// not undefined — the engine wraps two's-complement and records
@@ -911,7 +911,7 @@ impl<'a> Interp<'a> {
             free_slots: Vec::new(),
             tombstones: Vec::new(),
             alloc_count: 0,
-            heap_bytes: 0,
+            live_bytes: 0,
             frame_plans,
             slots_high_water: 0,
             frames: Vec::new(),
@@ -920,7 +920,6 @@ impl<'a> Interp<'a> {
             created: Vec::new(),
             fp: Vec::new(),
             args: Vec::new(),
-            case_values: std::collections::HashMap::new(),
             notes: Vec::new(),
             steps: 0,
             engine,
@@ -1166,6 +1165,7 @@ impl<'a> Interp<'a> {
         if !heap {
             self.created.push(r);
         }
+        self.live_bytes += size as i128;
         if self.profile_enabled {
             self.prof.note_alloc(size, heap);
         }
@@ -1335,6 +1335,7 @@ impl<'a> Interp<'a> {
         for i in base..self.created.len() {
             let slot = obj_slot(self.created[i]);
             self.objects[slot].alive = false;
+            self.live_bytes -= self.objects[slot].bytes.len() as i128;
             if self.profile_enabled {
                 self.prof
                     .note_dealloc(self.objects[slot].bytes.len(), false);
@@ -2344,13 +2345,12 @@ impl<'a> Interp<'a> {
                 format!("malloc({n}) with a negative size"),
             ));
         }
-        if n > MAX_BYTES || self.heap_bytes + n > MAX_HEAP_BYTES {
+        if n > MAX_BYTES || self.live_bytes + n > MAX_HEAP_BYTES {
             return Err(stop_unsupported(
                 format!("malloc({n}) exceeds the engine's memory budget"),
                 loc,
             ));
         }
-        self.heap_bytes += n;
         // `malloc(n)` allocates `n` *bytes* — the model finally
         // agrees with `sizeof`. `malloc(0)` yields a distinct
         // zero-size allocation: legal to `free`, undefined to
@@ -2416,7 +2416,7 @@ impl<'a> Interp<'a> {
                 // Current and alive: bare-slot access is sound.
                 let slot = obj_slot(p.obj);
                 self.objects[slot].alive = false;
-                self.heap_bytes -= self.objects[slot].bytes.len() as i128;
+                self.live_bytes -= self.objects[slot].bytes.len() as i128;
                 if self.profile_enabled {
                     self.prof.note_dealloc(self.objects[slot].bytes.len(), true);
                 }
@@ -2563,13 +2563,10 @@ impl<'a> Interp<'a> {
         if self.engine == Engine::Bytecode {
             if let Some(code) = &self.code {
                 let code = Rc::clone(code);
-                let fc = &code.funcs[func_idx as usize];
-                if !fc.tree_only {
-                    return self.run_ops(&code, func_idx);
-                }
+                return self.run_ops(&code, func_idx);
             }
         }
-        match self.exec_block_entry(&func.body, None)? {
+        match self.exec_block_entry(&func.body, 0, None)? {
             Flow::Return(v, l) => Ok(Some((v, l))),
             // A `goto` no enclosing block caught: its label is nowhere in
             // this function. The resolver rejects this at translation
@@ -2588,23 +2585,28 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_block(&mut self, body: &'a [StmtId]) -> EResult<Flow> {
-        self.exec_block_entry(body, None)
+        self.exec_block_entry(body, 0, None)
     }
 
-    /// Execute a block, optionally entering at a label (`entry`) instead
-    /// of the top. A `goto` coming out of a statement whose target is in
-    /// this block re-seeks within the block *without* ending its
-    /// lifetimes — a jump within a block does not leave it (§6.2.4:6) —
-    /// while a foreign target unwinds like `break`, killing this block's
-    /// objects on the way out.
-    fn exec_block_entry(&mut self, body: &'a [StmtId], entry: Option<Symbol>) -> EResult<Flow> {
+    /// Execute a block from its item `start` (a `switch` dispatch), or
+    /// entering at a label (`entry`) instead. A `goto` coming out of a
+    /// statement whose target is anywhere in this block re-seeks within
+    /// the block *without* ending its lifetimes — a jump within a block
+    /// does not leave it (§6.2.4:6) — while a foreign target unwinds
+    /// like `break`, killing this block's objects on the way out.
+    fn exec_block_entry(
+        &mut self,
+        body: &'a [StmtId],
+        mut start: usize,
+        entry: Option<Symbol>,
+    ) -> EResult<Flow> {
         let created_base = self.created.len();
         let mut entry = entry;
         let mut flow = Flow::Normal;
         let mut stopped = None;
         'restart: loop {
             let mut skipping = entry.take();
-            for &s in body {
+            for &s in &body[start..] {
                 let r = match skipping {
                     Some(target) => {
                         if !stmt_has_label(self.unit, s, target) {
@@ -2620,6 +2622,7 @@ impl<'a> Interp<'a> {
                     Ok(Flow::Goto(sym, loc)) => {
                         if body.iter().any(|&t| stmt_has_label(self.unit, t, sym)) {
                             entry = Some(sym);
+                            start = 0;
                             continue 'restart;
                         }
                         flow = Flow::Goto(sym, loc);
@@ -2668,7 +2671,7 @@ impl<'a> Interp<'a> {
                     self.seek_stmt(els, target)
                 }
             }
-            Stmt::Block(body, _) => self.exec_block_entry(body, Some(target)),
+            Stmt::Block(body, _) => self.exec_block_entry(body, 0, Some(target)),
             Stmt::While(cond, body) => self.run_while(*cond, *body, Some(target)),
             Stmt::For(_, cond, step, body) => {
                 // The init clause is jumped over; the loop's scope still
@@ -2678,7 +2681,7 @@ impl<'a> Interp<'a> {
                 self.kill_created_from(created_base);
                 result
             }
-            Stmt::Switch(_, body, _) => {
+            Stmt::Switch(_, body, _, _) => {
                 // Jumping to a label inside a `switch` body enters it
                 // without dispatching on the controlling expression.
                 match self.seek_stmt(*body, target)? {
@@ -2790,7 +2793,7 @@ impl<'a> Interp<'a> {
             Stmt::Break(_) => Ok(Flow::Break),
             Stmt::Continue(_) => Ok(Flow::Continue),
             Stmt::Block(body, _) => self.exec_block(body),
-            Stmt::Switch(cond, body, loc) => self.exec_switch(*cond, *body, *loc),
+            Stmt::Switch(cond, body, _, table) => self.exec_switch(*cond, *body, *table),
             // Labels are transparent when reached sequentially; `switch`
             // dispatch is the only place they select anything.
             Stmt::Case(_, inner, _) | Stmt::Default(inner, _) | Stmt::Label(_, inner, _) => {
@@ -2804,166 +2807,74 @@ impl<'a> Interp<'a> {
     }
 
     /// Execute a `switch` statement (§6.8.4.2): evaluate the controlling
-    /// expression, select the matching `case` (or `default`) at the top
-    /// level of the body, and run from there with ordinary fallthrough;
-    /// `break` leaves the switch.
-    fn exec_switch(&mut self, cond: ExprId, body: StmtId, loc: SourceLoc) -> EResult<Flow> {
+    /// expression, select the matching `case` (or `default`) through the
+    /// statement's case table, and run from there with ordinary
+    /// fallthrough; `break` leaves the switch.
+    fn exec_switch(&mut self, cond: ExprId, body: StmtId, table: u32) -> EResult<Flow> {
         let unit = self.unit;
         let v = self.eval_full(cond)?;
-        // §6.8.4.2:5 — the controlling expression undergoes the integer
-        // promotions, and each case constant is *converted to the
-        // promoted controlling type* before the comparison (so
-        // `switch (u) case -1:` matches UINT_MAX for an unsigned
-        // controlling expression, exactly as in real C).
         let ctrl = self.as_int(v, unit.expr(cond).loc)?.promoted();
-        let Stmt::Block(items, _) = unit.stmt(body) else {
-            // `switch (e) case K: stmt;` — a single (possibly labeled)
-            // statement as the body.
-            return match self.select_in_chain(body, ctrl)? {
-                Some(s) => match self.exec_stmt(s)? {
-                    Flow::Break => Ok(Flow::Normal),
-                    flow => Ok(flow),
-                },
-                None => Ok(Flow::Normal),
-            };
+        let Some(start) = self.switch_target(&unit.switches[table as usize], ctrl)? else {
+            // Control jumps past the body (§6.8.4.2:7).
+            return Ok(Flow::Normal);
         };
-        // Scan the top level of the body, descending through chains of
-        // labels (`case 1: case 2: stmt`), for the case matching `v`;
-        // remember the first `default:` as the fallback.
-        let mut target = None;
-        let mut default = None;
-        'scan: for (i, &s) in items.iter().enumerate() {
-            let mut cur = s;
-            loop {
-                match unit.stmt(cur) {
-                    Stmt::Case(e, inner, _) => {
-                        if self.case_matches(*e, ctrl)? {
-                            target = Some(i);
-                            break 'scan;
-                        }
-                        cur = *inner;
-                    }
-                    Stmt::Default(inner, _) => {
-                        if default.is_none() {
-                            default = Some(i);
-                        }
-                        cur = *inner;
-                    }
-                    Stmt::Label(_, inner, _) => cur = *inner,
-                    _ => break,
-                }
-            }
-        }
-        let start = match target {
-            Some(t) => t,
-            None => {
-                // No top-level case matched. A case hiding below the top
-                // level (Duff-style) could still match `v` — falling back
-                // to `default:` or skipping the body would be a *wrong
-                // verdict*, so the engine must stop instead.
-                if items.iter().any(|&s| self.hides_nested_case(s)) {
-                    return Err(stop_unsupported(
-                        "case labels below the top level of a switch body are \
-                         outside the modeled semantics",
-                        loc,
-                    ));
-                }
-                match default {
-                    Some(d) => d,
-                    // Control jumps past the body (§6.8.4.2:7).
-                    None => return Ok(Flow::Normal),
-                }
-            }
+        // A block body runs from the selected item: declarations jumped
+        // over never execute (their slots stay unbound), and the block's
+        // lifetimes end on exit as usual.
+        let flow = match unit.stmt(body) {
+            Stmt::Block(items, _) => self.exec_block_entry(items, start, None)?,
+            _ => self.exec_stmt(label_chain_end(unit, body))?,
         };
-        // Execute the tail of the body as a partial block: declarations
-        // jumped over never execute (their slots stay unbound), and the
-        // block's lifetimes end on exit as usual.
-        match self.exec_block(&items[start..])? {
+        match flow {
             Flow::Break => Ok(Flow::Normal),
             flow => Ok(flow),
         }
     }
 
-    /// For a non-block `switch` body: walk the label chain wrapping the
-    /// single statement and decide whether `v` selects it.
-    fn select_in_chain(&mut self, s: StmtId, ctrl: CInt) -> EResult<Option<StmtId>> {
-        let unit = self.unit;
-        let mut cur = s;
-        let mut matched_case = false;
-        let mut saw_default = false;
-        loop {
-            match unit.stmt(cur) {
-                Stmt::Case(e, inner, _) => {
-                    matched_case = matched_case || self.case_matches(*e, ctrl)?;
-                    cur = *inner;
-                }
-                Stmt::Default(inner, _) => {
-                    saw_default = true;
-                    cur = *inner;
-                }
-                Stmt::Label(_, inner, _) => cur = *inner,
-                other => {
-                    if matched_case {
-                        return Ok(Some(cur));
+    /// The body item a `switch` with case table `table` enters for the
+    /// promoted controlling value `ctrl`, or `None` to skip the body —
+    /// the one selection both engines run. §6.8.4.2:5: the controlling
+    /// expression undergoes the integer promotions, and each case
+    /// constant is *converted to the promoted controlling type* before
+    /// the comparison (so `switch (u) case -1:` matches UINT_MAX for an
+    /// unsigned `u`, exactly as in real C). Labels are scanned in source
+    /// order, so a label without a value stops dispatch only when the
+    /// scan reaches it.
+    fn switch_target(&self, table: &SwitchTable, ctrl: CInt) -> EResult<Option<usize>> {
+        let mut default = None;
+        for (arm, item) in &table.arms {
+            match arm {
+                CaseArm::Case(Ok(c)) => {
+                    if c.convert(ctrl.ty).0.math() == ctrl.math() {
+                        return Ok(Some(*item as usize));
                     }
-                    // Without a matching chain case, a label nested
-                    // deeper could still be the real dispatch target —
-                    // stop rather than misjudge (even past a chain-level
-                    // `default:`, which nested cases would outrank).
-                    if stmt_contains_case(unit, other) {
-                        return Err(stop_unsupported(
-                            "case labels below the top level of a switch body are \
-                             outside the modeled semantics",
-                            stmt_loc(unit, other),
-                        ));
-                    }
-                    return Ok(if saw_default { Some(cur) } else { None });
                 }
-            }
-        }
-    }
-
-    /// Whether the case label `e` selects the (promoted) controlling
-    /// value `ctrl`: the label's translation-time constant (§6.8.4.2:3,
-    /// folded once and memoized — error outcomes abort execution, so
-    /// only successful folds need caching) is converted to the promoted
-    /// controlling type before the comparison (§6.8.4.2:5).
-    fn case_matches(&mut self, e: ExprId, ctrl: CInt) -> EResult<bool> {
-        let c = if let Some(&c) = self.case_values.get(&e.0) {
-            c
-        } else {
-            match consteval::const_eval(self.unit, e) {
-                Ok(c) => {
-                    self.case_values.insert(e.0, c);
-                    c
-                }
-                Err(ConstStop::NotConst(loc)) => {
+                CaseArm::Case(Err(ConstStop::NotConst(loc))) => {
                     return Err(self.ub(
                         UbKind::NonConstantCaseLabel,
-                        loc,
+                        *loc,
                         "case label is not an integer constant expression",
                     ))
                 }
-                Err(ConstStop::Ub { kind, detail, loc }) => {
-                    return Err(self.ub(kind, loc, format!("in a case label: {detail}")))
+                CaseArm::Case(Err(ConstStop::Ub { kind, detail, loc })) => {
+                    return Err(self.ub(*kind, *loc, format!("in a case label: {detail}")))
                 }
-            }
-        };
-        Ok(c.convert(ctrl.ty).0.math() == ctrl.math())
-    }
-
-    /// Whether a top-level switch-body item hides `case`/`default` labels
-    /// below the label chain the dispatch scan walks.
-    fn hides_nested_case(&self, s: StmtId) -> bool {
-        let mut cur = s;
-        loop {
-            match self.unit.stmt(cur) {
-                Stmt::Case(_, inner, _) | Stmt::Default(inner, _) | Stmt::Label(_, inner, _) => {
-                    cur = *inner
+                CaseArm::Default => {
+                    default.get_or_insert(*item as usize);
                 }
-                other => return stmt_contains_case(self.unit, other),
             }
         }
+        // No case matched. A case hiding below the top level (Duff-style)
+        // could still match — falling back to `default:` or skipping the
+        // body would be a *wrong verdict*, so the engine stops instead.
+        if let Some(loc) = table.nested_case {
+            return Err(stop_unsupported(
+                "case labels below the top level of a switch body are \
+                 outside the modeled semantics",
+                loc,
+            ));
+        }
+        Ok(default)
     }
 
     fn exec_for(
@@ -3070,7 +2981,8 @@ impl<'a> Interp<'a> {
                         format!("array `{}` declared with size {n}", self.name(d.name)),
                     ));
                 }
-                if n * esize as i128 > MAX_BYTES {
+                let bytes = n * esize as i128;
+                if bytes > MAX_BYTES || self.live_bytes + bytes > MAX_HEAP_BYTES {
                     return Err(stop_unsupported(
                         format!(
                             "array `{}` of size {n} exceeds the engine's memory budget",
@@ -3176,7 +3088,7 @@ pub(crate) fn stmt_loc(unit: &TranslationUnit, s: &Stmt) -> SourceLoc {
         | Stmt::Break(loc)
         | Stmt::Continue(loc)
         | Stmt::Block(_, loc)
-        | Stmt::Switch(_, _, loc)
+        | Stmt::Switch(_, _, loc, _)
         | Stmt::Case(_, _, loc)
         | Stmt::Default(_, loc)
         | Stmt::Label(_, _, loc)
@@ -3197,7 +3109,7 @@ fn stmt_has_label(unit: &TranslationUnit, s: StmtId, target: Symbol) -> bool {
             stmt_has_label(unit, *then, target)
                 || els.is_some_and(|e| stmt_has_label(unit, e, target))
         }
-        Stmt::While(_, body) | Stmt::Switch(_, body, _) => stmt_has_label(unit, *body, target),
+        Stmt::While(_, body) | Stmt::Switch(_, body, ..) => stmt_has_label(unit, *body, target),
         Stmt::For(init, _, _, body) => {
             init.is_some_and(|i| stmt_has_label(unit, i, target))
                 || stmt_has_label(unit, *body, target)
@@ -3213,6 +3125,16 @@ fn stmt_has_label(unit: &TranslationUnit, s: StmtId, target: Symbol) -> bool {
     }
 }
 
+/// The statement a chain of labels (`case 1: default: l: stmt`) labels.
+fn label_chain_end(unit: &TranslationUnit, mut s: StmtId) -> StmtId {
+    while let Stmt::Case(_, inner, _) | Stmt::Default(inner, _) | Stmt::Label(_, inner, _) =
+        unit.stmt(s)
+    {
+        s = *inner;
+    }
+    s
+}
+
 /// The runtime element type of an object declared with `ty`. (`void`
 /// local declarations raise [`UbKind::IncompleteTypeObject`] before an
 /// object is ever built; for the remaining `void` spellings — parameter
@@ -3223,30 +3145,6 @@ fn elem_of_ty(ty: &Ty) -> Elem {
         Ty::Ptr(inner) => Elem::Ptr(pointee_of_ty(inner)),
         Ty::Int(it) => Elem::Scalar(*it),
         Ty::Void => Elem::Scalar(IntTy::Int),
-    }
-}
-
-/// Whether `s` contains a `case` or `default` label belonging to the
-/// *enclosing* switch (i.e. not descending into nested `switch` bodies,
-/// whose labels are their own).
-fn stmt_contains_case(unit: &TranslationUnit, s: &Stmt) -> bool {
-    let at = |id: StmtId| stmt_contains_case(unit, unit.stmt(id));
-    match s {
-        Stmt::Case(_, _, _) | Stmt::Default(_, _) => true,
-        Stmt::Label(_, inner, _) => at(*inner),
-        Stmt::If(_, then, els) => at(*then) || els.is_some_and(at),
-        Stmt::While(_, body) => at(*body),
-        Stmt::For(init, _, _, body) => init.is_some_and(at) || at(*body),
-        Stmt::Block(items, _) => items.iter().any(|&i| at(i)),
-        // A nested switch owns its labels.
-        Stmt::Switch(_, _, _) => false,
-        Stmt::Decl(_)
-        | Stmt::Expr(_)
-        | Stmt::Return(_, _)
-        | Stmt::Break(_)
-        | Stmt::Continue(_)
-        | Stmt::Goto(_, _)
-        | Stmt::Empty(_) => false,
     }
 }
 
@@ -3797,6 +3695,20 @@ mod tests {
     }
 
     #[test]
+    fn goto_back_into_an_earlier_case_keeps_the_body_alive() {
+        // A jump within the switch body does not leave it (§6.2.4:6):
+        // `y` is still alive when control lands on the earlier label.
+        let src = "int main(void) { int *p = 0; int r = 0; switch (1) { \
+                   case 0: l: r = *p; break; case 1: ; int y = 7; p = &y; goto l; } \
+                   return r; }";
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let unit = parse(src).unwrap();
+            let outcome = Interp::with_engine(&unit, Limits::default(), engine).run_main();
+            assert_eq!(outcome.exit_code(), Some(7), "{engine:?}: {outcome:?}");
+        }
+    }
+
+    #[test]
     fn break_leaves_the_switch_but_return_propagates() {
         assert_eq!(
             run("int main(void) { switch (1) { case 1: return 42; } return 0; }").exit_code(),
@@ -4264,6 +4176,31 @@ mod tests {
                 matches!(&outcome, Outcome::Unsupported { message, loc }
                     if message == "malloc(40000000) exceeds the engine's memory budget"
                         && loc.line == 4),
+                "{engine:?}: {outcome:?}"
+            );
+            let unit = parse(churn).unwrap();
+            let outcome = Interp::with_engine(&unit, Limits::default(), engine).run_main();
+            assert_eq!(outcome.exit_code(), Some(0), "{engine:?}: {outcome:?}");
+        }
+    }
+
+    #[test]
+    fn live_automatic_bytes_are_budgeted_under_both_engines() {
+        // Each frame's 40 MB array is under the one-object budget; the
+        // seventh live one would take the total past `MAX_HEAP_BYTES`.
+        let deep = "int f(int d) {\n  char a[40000000];\n  a[0] = 1;\n  \
+                    if (d > 0) { int r = f(d - 1); return r + a[0]; }\n  return a[0];\n}\n\
+                    int main(void) { return f(30); }";
+        // Bytes leave the total when a block's lifetime ends.
+        let churn = "int main(void) { for (int i = 0; i < 8; i++) { char a[40000000]; \
+                     a[0] = 1; } return 0; }";
+        for engine in [Engine::Tree, Engine::Bytecode] {
+            let unit = parse(deep).unwrap();
+            let outcome = Interp::with_engine(&unit, Limits::default(), engine).run_main();
+            assert!(
+                matches!(&outcome, Outcome::Unsupported { message, loc }
+                    if message == "array `a` of size 40000000 exceeds the engine's memory budget"
+                        && loc.line == 2),
                 "{engine:?}: {outcome:?}"
             );
             let unit = parse(churn).unwrap();

@@ -9,7 +9,8 @@
 //! Fast-path ops (`LoadSlotFast`, fused stores) guard on the exact
 //! object state their shortcut assumes and fail over to the generic
 //! core *before* any observable action; tree-fallback ops (`EvalFull`,
-//! `ExecStmt`, `DeclFull`) hand whole constructs back to the walker.
+//! `DeclFull`) hand whole expressions and declarations back to the
+//! walker. Every statement runs here.
 
 use super::*;
 use crate::bytecode::{FusedSweep, Op, Pc, SweepSrc};
@@ -210,6 +211,16 @@ impl<'a> Interp<'a> {
                         settle!(loc);
                     }
                     pc = t;
+                }
+                Op::Switch(i) => {
+                    let v = self.vpop();
+                    self.fp.truncate(fp_base);
+                    let ctrl = self.as_int(v, loc)?.promoted();
+                    let sw = &code.switches[i as usize];
+                    pc = match self.switch_target(&unit.switches[i as usize], ctrl)? {
+                        Some(item) => sw.entries[item],
+                        None => sw.skip,
+                    };
                 }
                 Op::BranchFalse(t) => {
                     let v = self.vpop();
@@ -553,39 +564,6 @@ impl<'a> Interp<'a> {
                 Op::EvalFullPop(e) => {
                     settle!(loc);
                     self.eval_full(e)?;
-                }
-                Op::ExecStmt(i) => {
-                    settle!(loc);
-                    let info = code.execs[i as usize];
-                    match self.exec_stmt(info.stmt)? {
-                        Flow::Normal => {}
-                        Flow::Return(v, l) => return Ok(Some((v, l))),
-                        Flow::Continue => match info.cont {
-                            Some((pops, target)) => {
-                                self.pop_scopes(pops);
-                                pc = target;
-                            }
-                            None => {
-                                // Stray continue: like the tree, control
-                                // falls off the function.
-                                self.pop_scopes(info.depth);
-                                pc = end;
-                            }
-                        },
-                        // `exec_switch` absorbs `break`; a `goto` cannot
-                        // occur here (functions with both goto and switch
-                        // are tree-only), but stay honest if it does.
-                        Flow::Break => unreachable!("switch absorbs break"),
-                        Flow::Goto(sym, gloc) => {
-                            return Err(stop_unsupported(
-                                format!(
-                                    "`goto {}` targets no label in this function",
-                                    self.name(sym)
-                                ),
-                                gloc,
-                            ))
-                        }
-                    }
                 }
                 Op::ByteSweep(i) => {
                     // Step-neutral: cancel this dispatch's own tick;

@@ -14,7 +14,7 @@
 //! slot-resolved and ready to execute.
 
 use crate::ast::{
-    BinOp, Decl, Expr, ExprId, ExprKind, Function, Param, Quals, SlotId, Stmt, StmtId,
+    BinOp, Decl, Expr, ExprId, ExprKind, Function, Param, Quals, SlotId, Stmt, StmtId, SwitchTable,
     TranslationUnit, Ty, UnaryOp,
 };
 use crate::ctype::IntTy;
@@ -610,7 +610,9 @@ impl Parser {
             self.switch_depth += 1;
             let body = self.stmt();
             self.switch_depth -= 1;
-            return Ok(self.unit.push_stmt(Stmt::Switch(cond, body?, loc)));
+            let table = u32::try_from(self.unit.switches.len()).expect("fewer than 2^32 switches");
+            self.unit.switches.push(SwitchTable::default());
+            return Ok(self.unit.push_stmt(Stmt::Switch(cond, body?, loc, table)));
         }
         if self.peek_keyword(kw::CASE) {
             if self.switch_depth == 0 {
@@ -1020,7 +1022,7 @@ mod tests {
         )
         .unwrap();
         let main = unit.function_named("main").unwrap();
-        let Stmt::Switch(_, body, _) = unit.stmt(main.body[1]) else {
+        let Stmt::Switch(_, body, _, _) = unit.stmt(main.body[1]) else {
             panic!("expected switch");
         };
         let Stmt::Block(items, _) = unit.stmt(*body) else {

@@ -38,7 +38,7 @@ const SUPERINSTRUCTIONS: &[&str] = &[
 
 /// Honest tree-walker fallbacks: whole constructs handed back to the
 /// reference semantics (and therefore to full footprint tracking).
-const TREE_FALLBACKS: &[&str] = &["EvalFull", "EvalFullPop", "ExecStmt", "DeclFull"];
+const TREE_FALLBACKS: &[&str] = &["EvalFull", "EvalFullPop", "DeclFull"];
 
 /// Ops that terminate a *compiled* full expression: each one executed
 /// is a full expression whose §6.5:2 footprint traffic the compiler
@@ -50,6 +50,7 @@ const ELIDED_BOUNDARIES: &[&str] = &[
     "BrCmpSS",
     "BrCmpSC",
     "BranchFalseSeq",
+    "Switch",
     "DeclInit",
     "Ret",
 ];
@@ -170,7 +171,7 @@ impl ExecProfile {
     }
 
     /// Executions of honest tree-walker fallback ops (`EvalFull`,
-    /// `ExecStmt`, `DeclFull`, …): constructs the compiler handed back
+    /// `EvalFullPop`, `DeclFull`): constructs the compiler handed back
     /// to the reference semantics.
     pub fn tree_fallback_ops(&self) -> u64 {
         self.count(TREE_FALLBACKS)
@@ -178,7 +179,7 @@ impl ExecProfile {
 
     /// Compiled full expressions executed with their §6.5:2 footprint
     /// traffic elided (each is one boundary op: `PopSeq`,
-    /// `AssignSlotPop`, `BrCmp*`, `DeclInit`, `Ret`, …).
+    /// `AssignSlotPop`, `BrCmp*`, `Switch`, `DeclInit`, `Ret`, …).
     pub fn elided_boundaries(&self) -> u64 {
         self.count(ELIDED_BOUNDARIES)
     }
@@ -187,7 +188,7 @@ impl ExecProfile {
     /// was elided: elided boundaries over elided-plus-tree-fallbacks.
     /// (A tree fallback executes at least one footprint-tracked full
     /// expression, so this slightly *understates* elision when a single
-    /// `ExecStmt` covers many.) `None` when nothing executed.
+    /// `DeclFull` covers several.) `None` when nothing executed.
     pub fn footprint_elision_rate(&self) -> Option<f64> {
         let elided = self.elided_boundaries();
         let tracked = self.tree_fallback_ops();

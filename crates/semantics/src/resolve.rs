@@ -34,11 +34,12 @@
 //! binds to an outer declaration (or stays unresolved).
 
 use crate::ast::{
-    Base, BinOp, Decl, ExprId, ExprKind, SlotId, SlotTy, Stmt, StmtId, TranslationUnit, UnaryOp,
-    ValTy,
+    Base, BinOp, CaseArm, Decl, ExprId, ExprKind, SlotId, SlotTy, Stmt, StmtId, SwitchTable,
+    TranslationUnit, UnaryOp, ValTy,
 };
 use crate::consteval::{const_eval, is_constant_expr};
 use crate::ctype::{IntTy, SIZE_T};
+use crate::eval::stmt_loc;
 use crate::intern::{kw, Symbol};
 use cundef_ub::SourceLoc;
 use std::num::NonZeroU32;
@@ -179,10 +180,11 @@ impl Resolver {
                 }
                 self.scopes.pop();
             }
-            Stmt::Switch(cond, body, _) => {
+            Stmt::Switch(cond, body, loc, table) => {
                 self.resolve_expr(unit, *cond);
-                let body = *body;
+                let (body, loc, table) = (*body, *loc, *table);
                 self.resolve_stmt(unit, body);
+                unit.switches[table as usize] = switch_table(unit, body, loc);
             }
             Stmt::Case(e, inner, _) => {
                 self.resolve_expr(unit, *e);
@@ -290,6 +292,68 @@ impl Resolver {
             }
         }
         unit.types[e.0 as usize] = type_of(unit, &self.slots, e);
+    }
+}
+
+/// The case table of a `switch` at `loc` whose resolved body is `body`
+/// (§6.8.4.2): every `case`/`default` on the label chains heading the
+/// body's top-level items, in scan order, each `case` constant folded
+/// once.
+fn switch_table(unit: &TranslationUnit, body: StmtId, loc: SourceLoc) -> SwitchTable {
+    let (items, block) = match unit.stmt(body) {
+        Stmt::Block(items, _) => (&items[..], true),
+        _ => (std::slice::from_ref(&body), false),
+    };
+    let mut table = SwitchTable::default();
+    for (i, &item) in items.iter().enumerate() {
+        let mut cur = item;
+        loop {
+            match unit.stmt(cur) {
+                Stmt::Case(e, inner, _) => {
+                    table
+                        .arms
+                        .push((CaseArm::Case(const_eval(unit, *e)), i as u32));
+                    cur = *inner;
+                }
+                Stmt::Default(inner, _) => {
+                    table.arms.push((CaseArm::Default, i as u32));
+                    cur = *inner;
+                }
+                Stmt::Label(_, inner, _) => cur = *inner,
+                terminal => {
+                    if table.nested_case.is_none() && stmt_contains_case(unit, terminal) {
+                        table.nested_case =
+                            Some(if block { loc } else { stmt_loc(unit, terminal) });
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    table
+}
+
+/// Whether `s` contains a `case` or `default` label belonging to the
+/// *enclosing* switch (i.e. not descending into nested `switch` bodies,
+/// whose labels are their own).
+fn stmt_contains_case(unit: &TranslationUnit, s: &Stmt) -> bool {
+    let at = |id: StmtId| stmt_contains_case(unit, unit.stmt(id));
+    match s {
+        Stmt::Case(_, _, _) | Stmt::Default(_, _) => true,
+        Stmt::Label(_, inner, _) => at(*inner),
+        Stmt::If(_, then, els) => at(*then) || els.is_some_and(at),
+        Stmt::While(_, body) => at(*body),
+        Stmt::For(init, _, _, body) => init.is_some_and(at) || at(*body),
+        Stmt::Block(items, _) => items.iter().any(|&i| at(i)),
+        // A nested switch owns its labels.
+        Stmt::Switch(..) => false,
+        Stmt::Decl(_)
+        | Stmt::Expr(_)
+        | Stmt::Return(_, _)
+        | Stmt::Break(_)
+        | Stmt::Continue(_)
+        | Stmt::Goto(_, _)
+        | Stmt::Empty(_) => false,
     }
 }
 

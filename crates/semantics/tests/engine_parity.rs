@@ -132,3 +132,128 @@ fn sizeof_and_conditional_types_agree_across_engines() {
     // The checker limitation for an untyped operand is identical too.
     assert_parity("int main(void) { return sizeof ghost; }", "untyped sizeof");
 }
+
+#[test]
+fn switch_programs_run_identically_under_both_engines() {
+    // Selection, fallthrough, and every way control enters or leaves a
+    // `switch` body: each program's outcome and notes must agree.
+    const PROGRAMS: &[&str] = &[
+        // fallthrough into the next case, `break` out
+        "int main(void) { int r = 0; switch (1) { case 1: r += 1; case 2: r += 10; break; \
+         default: r += 100; } return r; }",
+        // `default` first, selected when no case matches
+        "int main(void) { int r = 0; int x = 3; switch (x) { default: r = 9; break; case 1: r \
+         = 1; } return r; }",
+        // no match and no `default`: the body is skipped
+        "int main(void) { int r = 5; switch (7) { case 1: r = 1; case 2: r = 2; } return r; }",
+        // empty bodies
+        "int main(void) { int x = 2; switch (x) {} switch (x) ; switch (x) { int y; } return \
+         x; }",
+        // stacked labels and duplicate values: the first match wins
+        "int main(void) { int r = 0; switch (2) { case 1: case 2: r += 4; case 2 + 0: r += 1; \
+         } return r; }",
+        // `continue` passes through the switch to the `for`
+        "int main(void) { int s = 0; for (int i = 0; i < 6; i++) { switch (i % 3) { case 1: \
+         continue; case 2: s += 10; break; } s += 1; } return s; }",
+        // `continue` from a block inside a case, to a `while`
+        "int main(void) { int i = 0; int s = 0; while (i < 5) { i++; switch (i) { default: { \
+         int t = i; s += t; continue; } case 2: break; } s += 100; } return s; }",
+        // stray `continue` in a switch outside any loop
+        "int main(void) { int r = 3; switch (r) { case 3: { int y = 1; r += y; continue; } } \
+         return r; }",
+        // `break` inside a loop inside a case leaves only the loop
+        "int main(void) { int r = 0; switch (1) { case 1: for (;;) { r++; if (r == 3) break; } \
+         r += 10; break; case 2: r = 99; } return r; }",
+        // a loop inside a case
+        "int main(void) { int s = 0; int k = 1; switch (k) { case 1: for (int i = 0; i < 100; \
+         i++) s = (s + i) % 1000; break; default: s = -1; } return s; }",
+        // `case -1` matches an unsigned controlling value
+        "int main(void) { unsigned u = 4294967295u; switch (u) { case -1: return 1; } return \
+         0; }",
+        // a `char` controlling expression is promoted
+        "int main(void) { char c = 65; switch (c) { case 321: return 8; case 'A': return 7; } \
+         return 0; }",
+        // a `long` controlling expression keeps its width
+        "int main(void) { long v = 1L << 40; switch (v) { case 0: return 1; case 1L << 40: \
+         return 3; } return 0; }",
+        // case constants are converted to the promoted type
+        "int main(void) { int x = 0; switch (x) { case 4294967296L: return 1; } unsigned char \
+         b = 200; switch (b) { case 200: return 2; } return 0; }",
+        // a non-constant label the scan reaches
+        "int main(void) { int k = 1; switch (2) { case 1: return 1; case k: return 2; } return \
+         0; }",
+        // a non-constant label after the match is never reached
+        "int main(void) { int k = 1; switch (1) { case 1: return 5; case k: return 2; } return \
+         0; }",
+        // `case 1/0:` reached by the scan
+        "int main(void) { switch (1) { case 1 / 0: return 1; } return 0; }",
+        // an undefined label after the match is never reached
+        "int main(void) { switch (1) { case 1: return 4; case 2147483647 + 1: return 1; } \
+         return 0; }",
+        // Duff-style: a top-level case matches, nested labels are transparent
+        "int main(void) { int n = 4; int r = 0; switch (n % 2) { case 0: while (n > 0) { r++; \
+         case 1: r += 10; n -= 2; } } return r; }",
+        // Duff-style: no top-level match stops at the switch
+        "int main(void) { int n = 3; int r = 0; switch (n % 2) { case 0: while (n > 0) { r++; \
+         case 1: r += 10; n -= 2; } } return r; }",
+        // non-block bodies: match, `default`, no match, a labelled chain
+        "int main(void) { int r = 0; int x = 1; switch (x) case 1: r += 3; switch (x) default: \
+         r += 4; switch (2) case 1: r += 100; switch (1) case 2: l: case 1: r += 20; return r; \
+         }",
+        // non-block body hiding a case below its chain
+        "int main(void) { int r = 0; switch (2) default: { case 2: r = 5; } return r; }",
+        // a skipped declaration leaves its slot unbound
+        "int main(void) { switch (2) { case 1: ; int x = 5; case 2: x = 3; return x; } return \
+         0; }",
+        // reading a skipped declaration's slot
+        "int main(void) { switch (2) { case 1: ; int x = 5; case 2: return x; } return 0; }",
+        // a skipped declaration's stale slot on the next iteration
+        "int main(void) { int r = 0; for (int i = 0; i < 2; i++) { switch (i) { case 0: ; int \
+         x = 5; r += x; break; case 1: r += x; } } return r; }",
+        // `goto` into a case skips the dispatch
+        "int main(void) { int r = 0; goto in; switch (5) { case 1: in: r = 4; break; default: \
+         r = 9; } return r; }",
+        // `goto` out of a case
+        "int main(void) { int r = 0; switch (1) { case 1: { int t = 2; r = t; goto out; } case \
+         2: r = 3; } r = 9; out: return r; }",
+        // `goto` around a switch
+        "int main(void) { int r = 0; goto skip; switch (1) { case 1: r = 1; } skip: return r; \
+         }",
+        // `goto` back into an earlier case keeps the body's objects alive
+        "int main(void) { int *p = 0; int r = 0; switch (1) { case 0: l: r = *p; break; case \
+         1: ; int y = 7; p = &y; goto l; } return r; }",
+        // a backward `goto` re-runs the dispatch
+        "int main(void) { int i = 0; again: switch (i) { case 0: case 1: i++; goto again; case \
+         2: break; } return i; }",
+        // `goto` into a nested block of a case
+        "int main(void) { int r = 1; goto deep; switch (r) { case 1: { int z = 3; deep: r += \
+         2; } break; } return r; }",
+        // nested switches
+        "int main(void) { int r = 0; int a = 1; int b = 2; switch (a) { case 1: switch (b) { \
+         case 2: r = 12; break; default: r = 10; } r += 100; break; case 2: r = 2; } return r; \
+         }",
+        // `return` inside a case of a called function
+        "int f(int x) { switch (x) { case 3: return 42; default: return -1; } } int main(void) \
+         { return f(3) + f(0); }",
+        // a pointer controlling expression
+        "int main(void) { int x = 0; int *p = &x; switch (p) { case 0: return 1; } return 0; }",
+        // an uninitialized controlling expression
+        "int main(void) { int x; switch (x) { case 0: return 1; } return 0; }",
+        // an unsequenced controlling expression
+        "int main(void) { int x = 0; switch (x++ + x) { default: return 1; } return 0; }",
+        // a dead block object as the controlling expression
+        "int main(void) { int *p; { int y = 2; p = &y; } switch (*p) { case 2: return 1; } \
+         return 0; }",
+        // a void call as the controlling expression
+        "void g(void) { } int main(void) { switch (g()) { default: return 1; } return 0; }",
+        // a pointer into the body dies when the switch is left
+        "int main(void) { int *p = 0; switch (1) { case 1: ; int y = 4; p = &y; break; } \
+         return *p; }",
+        // implementation-defined notes inside a case
+        "int main(void) { int big = 70000; switch (1) { case 1: ; short s = big; return s == \
+         4464 ? 0 : 1; } return 2; }",
+    ];
+    for src in PROGRAMS {
+        assert_parity(src, "switch program");
+    }
+}

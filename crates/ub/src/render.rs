@@ -683,7 +683,9 @@ mod tests {
             .is_empty());
     }
 
+    // The check is a `debug_assert!`, which release builds compile out.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "placeholder location")]
     fn placeholder_locations_fail_the_debug_assertion() {
         let mut bad = sample();
